@@ -8,6 +8,11 @@ cargo clippy --release --all-targets -- -D warnings
 cargo build --release
 cargo test -q --release
 
+# The benchmark crate is a workspace of its own, so the builds above never
+# compile it: build and test it here, so a change to a serve/cluster API
+# it calls fails CI instead of the next benchmark run.
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 # Every client-visible error must be the JSON envelope (docs/api.md):
 # the retired plain-text constructors must not creep back in.
 ! grep -rn "Response::error" crates/ --include='*.rs'

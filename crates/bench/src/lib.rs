@@ -32,7 +32,8 @@ pub const DEFAULT_JOURNAL_KEEP_S: u64 = 7 * 24 * 60 * 60;
 /// `--no-cache` (recompute everything, ignore cached results), and
 /// `--csv` (machine-readable output where supported). The server-facing
 /// binaries add `--addr <host:port>` (bind/target address),
-/// `--threads <N>` (server workers / load-generator clients),
+/// `--threads <N>` (requests a server handles at once / load-generator
+/// clients),
 /// `--max-inflight <N>` (connection limit before 503 backpressure),
 /// `--requests <N>` (load-generator requests per client),
 /// `--worker` (run `serve` as a cluster worker behind a coordinator),
@@ -59,7 +60,8 @@ pub struct HarnessArgs {
     /// Server bind address (`serve` binary) or target address (`loadgen`,
     /// `smoke`); `None` uses each binary's default.
     pub addr: Option<String>,
-    /// Server worker threads / load-generator client threads.
+    /// Requests a server handles at once (each connection has its own
+    /// thread; idle ones hold no permit) / load-generator client threads.
     pub threads: Option<usize>,
     /// Server connection limit before 503 backpressure kicks in.
     pub max_inflight: Option<usize>,

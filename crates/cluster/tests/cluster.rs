@@ -192,6 +192,71 @@ fn cold_sweep_shards_across_workers_and_matches_single_node() {
     let _ = std::fs::remove_dir_all(&dir_b);
 }
 
+/// A worker on the shipped server defaults — four request permits —
+/// with a read timeout long enough that waiting one out cannot pass for
+/// a slow sweep.
+fn start_default_worker(cache_dir: &std::path::Path) -> ServerHandle {
+    let cfg = ServerConfig {
+        addr: "127.0.0.1:0".into(),
+        read_timeout: std::time::Duration::from_secs(30),
+        ..ServerConfig::default()
+    };
+    api::serve(
+        cfg,
+        Arc::new(Engine::new().with_jobs(2).with_cache_dir(cache_dir)),
+    )
+    .expect("bind worker")
+}
+
+#[test]
+fn warm_repeat_of_a_wide_sweep_is_not_held_by_idle_probe_connections() {
+    // 25 unique jobs: each shard has more keys than a worker has request
+    // permits, so the coordinator probes each worker over several
+    // connections at once and keeps them idle in its pool afterwards.
+    let jobs = ["kmeans", "hotspot", "bfs", "backprop", "nw"]
+        .iter()
+        .flat_map(|b| {
+            [0.05, 0.06, 0.07, 0.08, 0.09].map(|scale| job(&format!("rodinia/{b}"), scale))
+        })
+        .collect();
+    let body = Json::Obj(vec![("jobs".into(), Json::Arr(jobs))]);
+
+    let (dir_a, dir_b) = (temp_dir("wide-a"), temp_dir("wide-b"));
+    let (wa, wb) = (start_default_worker(&dir_a), start_default_worker(&dir_b));
+    let coordinator = start_coordinator(
+        vec![wa.addr().to_string(), wb.addr().to_string()],
+        Arc::new(Injector::disabled()),
+    );
+    let mut client = Client::new(coordinator.addr().to_string());
+
+    let cold = client.post_json("/v1/sweeps", &body).unwrap();
+    assert_eq!(cold.status, 200);
+    assert_eq!(sweep_field(&summary(&cold.body), "executed"), 25);
+
+    let start = std::time::Instant::now();
+    let warm = client.post_json("/v1/sweeps", &body).unwrap();
+    let took = start.elapsed();
+    assert_eq!(warm.status, 200);
+    assert_eq!(record_lines(&warm.body), record_lines(&cold.body));
+    let s = summary(&warm.body);
+    assert_eq!(
+        sweep_field(&s, "peer_cache_hits"),
+        25,
+        "every record a peer hit"
+    );
+    assert_eq!(sweep_field(&s, "executed"), 0);
+    assert!(
+        took < std::time::Duration::from_secs(5),
+        "warm repeat took {took:?}"
+    );
+
+    coordinator.shutdown_and_join();
+    wa.shutdown_and_join();
+    wb.shutdown_and_join();
+    let _ = std::fs::remove_dir_all(&dir_a);
+    let _ = std::fs::remove_dir_all(&dir_b);
+}
+
 #[test]
 fn runs_probe_peer_caches_and_proxy_reports() {
     let (dir_a, dir_b) = (temp_dir("runs-a"), temp_dir("runs-b"));

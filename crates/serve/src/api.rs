@@ -49,7 +49,7 @@ use crate::tenant::{Admit, TenantGate};
 
 /// Most entries accepted in one `POST /v1/sweeps` batch; larger sweeps
 /// are rejected with `413 payload_too_large` so a single request cannot
-/// monopolize the worker pool indefinitely.
+/// hold a request permit indefinitely.
 pub const MAX_SWEEP_JOBS: usize = 512;
 
 /// Most stages accepted in one inline `POST /v1/workflows` graph; the
@@ -59,8 +59,8 @@ pub const MAX_SWEEP_JOBS: usize = 512;
 pub const MAX_WORKFLOW_STAGES: usize = 32;
 
 /// The handler implementing the heteropipe-serve routes. Share it via
-/// `Arc`; every worker thread dispatches through the same instance and the
-/// same underlying [`Engine`].
+/// `Arc`; every connection thread dispatches through the same instance and
+/// the same underlying [`Engine`].
 pub struct Api {
     engine: Arc<Engine>,
     flow: Arc<FlowRunner>,

@@ -13,8 +13,8 @@
 //!   that many successes in a row close the breaker, any failure re-opens
 //!   it for another cooldown.
 //!
-//! The breaker is shared across worker threads; all state sits behind one
-//! mutex taken for a few comparisons per request.
+//! The breaker is shared across connection threads; all state sits behind
+//! one mutex taken for a few comparisons per request.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;

@@ -14,10 +14,11 @@
 //! * [`json`] — a total JSON codec whose serialization is deterministic
 //!   (insertion-ordered objects, exact integers), so cached runs answer
 //!   byte-identically;
-//! * [`server`] — a bounded worker pool behind an accept queue with
-//!   connection limits (503 + `Retry-After` backpressure), per-request
-//!   timeouts, graceful drain on shutdown, and deterministic fault seams
-//!   on the accept/read/write paths;
+//! * [`server`] — one thread per admitted connection and a bounded
+//!   number of requests handled at once, with connection limits (503 +
+//!   `Retry-After` backpressure), per-request timeouts, graceful drain on
+//!   shutdown, and deterministic fault seams on the accept/read/write
+//!   paths;
 //! * [`breaker`] — a circuit breaker that sheds doomed requests while the
 //!   backend is unhealthy (observability routes stay exempt);
 //! * [`error`] — the one JSON error envelope every non-2xx response

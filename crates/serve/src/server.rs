@@ -1,15 +1,23 @@
-//! The connection engine: a bounded worker pool behind an accept queue,
-//! per-request timeouts, connection limits with 503 backpressure, server
-//! counters, and graceful shutdown.
+//! The connection engine: one thread per admitted connection, a bounded
+//! number of requests handled at once, per-request timeouts, connection
+//! limits with 503 backpressure, server counters, and graceful shutdown.
 //!
-//! Life of a connection: the accept thread admits it if the in-flight
-//! count (queued + being served) is under `max_inflight` — otherwise it
-//! answers `503 Service Unavailable` (with `Retry-After`) immediately and
-//! closes — then queues it for a worker. Workers serve requests over
-//! keep-alive until the peer closes, a timeout fires, or shutdown begins.
-//! Shutdown sets a flag, wakes the (blocking) accept call with a loopback
-//! connection, and lets workers drain every admitted connection's current
-//! request before exiting, so no accepted request loses its response.
+//! Life of a connection: the accept thread admits it if fewer than
+//! `max_inflight` connections are open — otherwise (or when no thread can
+//! be spawned for it) it answers `503 Service Unavailable` (with
+//! `Retry-After`) immediately and closes — then gives it a thread of its
+//! own, which serves requests over keep-alive until the peer closes, a
+//! timeout fires, or shutdown begins. [`ServerConfig::threads`] bounds
+//! *requests*, not connections: a connection holds one of `threads`
+//! permits from a parsed request until its response is written (a
+//! streamed body included), so an idle keep-alive connection costs one
+//! parked thread and never delays another connection's request.
+//!
+//! Shutdown sets a flag, closes every connection idling between requests,
+//! wakes the (blocking) accept call with a loopback connection, and lets
+//! each busy connection finish its current request with `Connection:
+//! close`, so no request being served loses its response.
+//! [`ServerHandle::join`] returns once every connection thread has exited.
 //!
 //! Resilience (see `docs/robustness.md`): a shared [`CircuitBreaker`]
 //! sheds non-observability requests while the backend is unhealthy
@@ -18,13 +26,12 @@
 //! ([`ServerConfig::faults`]) cover the accept, read, and write paths for
 //! chaos testing.
 
-use std::collections::VecDeque;
-use std::io::{BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::{self, BufRead, BufReader, Write};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
-use std::thread::JoinHandle;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::thread::{JoinHandle, Scope};
 use std::time::{Duration, Instant};
 
 use heteropipe_faults::{FaultKind, Injector, Site};
@@ -42,8 +49,9 @@ pub fn breaker_exempt(path: &str) -> bool {
     path == "/metrics" || path == "/healthz" || path.starts_with("/healthz/")
 }
 
-/// Something that turns requests into responses. Handlers run on worker
-/// threads concurrently; panics are caught and answered with a 500.
+/// Something that turns requests into responses. Handlers run on
+/// connection threads concurrently (at most [`ServerConfig::threads`] at
+/// once); panics are caught and answered with a 500.
 pub trait Handler: Send + Sync + 'static {
     /// Produces the response for one request.
     fn handle(&self, req: &Request) -> Response;
@@ -63,10 +71,13 @@ where
 pub struct ServerConfig {
     /// Bind address (`127.0.0.1:0` picks an ephemeral port).
     pub addr: String,
-    /// Worker threads serving requests.
+    /// Requests handled at once: a connection holds one of these permits
+    /// from a parsed request until its response (a streamed body
+    /// included) is written, and waits for one when all are taken.
     pub threads: usize,
-    /// Most connections admitted at once (queued + in service); beyond
-    /// this, new connections get an immediate 503.
+    /// Most connections open at once, idle keep-alive ones included (each
+    /// costs one parked thread); beyond this, new connections get an
+    /// immediate 503.
     pub max_inflight: usize,
     /// Per-connection read timeout (request parsing and keep-alive idle).
     pub read_timeout: Duration,
@@ -102,7 +113,8 @@ pub struct ServerStats {
     pub requests: AtomicU64,
     /// Requests currently inside the handler.
     pub in_flight: AtomicU64,
-    /// Connections refused with a 503 by the admission check.
+    /// Connections refused with a 503: past `max_inflight`, or no thread
+    /// could be spawned for them.
     pub rejected: AtomicU64,
     /// Requests shed with a 503 by the circuit breaker.
     pub shed: AtomicU64,
@@ -139,19 +151,84 @@ impl ServerStats {
     }
 }
 
+/// A counting semaphore over the requests handled at once. A release
+/// signals only when a request is waiting, so an uncontended
+/// acquire/release pair costs two uncontended lock round trips and no
+/// syscall.
+struct Permits {
+    state: Mutex<PermitState>,
+    freed: Condvar,
+}
+
+struct PermitState {
+    free: usize,
+    waiting: usize,
+}
+
+impl Permits {
+    fn new(n: usize) -> Permits {
+        Permits {
+            state: Mutex::new(PermitState {
+                free: n,
+                waiting: 0,
+            }),
+            freed: Condvar::new(),
+        }
+    }
+
+    /// Blocks until a permit is free; it is released on drop.
+    fn acquire(&self) -> Permit<'_> {
+        let mut state = self.state.lock().expect("permit lock poisoned");
+        while state.free == 0 {
+            state.waiting += 1;
+            state = self.freed.wait(state).expect("permit lock poisoned");
+            state.waiting -= 1;
+        }
+        state.free -= 1;
+        Permit(self)
+    }
+}
+
+struct Permit<'a>(&'a Permits);
+
+impl Drop for Permit<'_> {
+    fn drop(&mut self) {
+        // Each update leaves the counts valid, so a poisoned lock is safe
+        // to take over (and a drop must not panic).
+        let mut state = self.0.state.lock().unwrap_or_else(PoisonError::into_inner);
+        state.free += 1;
+        let wake = state.waiting > 0;
+        drop(state);
+        if wake {
+            self.0.freed.notify_one();
+        }
+    }
+}
+
+/// One admitted connection, shared by its thread and the registry that
+/// shutdown walks.
+struct Conn {
+    stream: TcpStream,
+    /// Raised while the connection waits for the first byte of its next
+    /// request. Whoever swaps it back down owns what happens next: the
+    /// connection thread (a request arrived, serve it) or shutdown (close
+    /// the socket).
+    idle: AtomicBool,
+}
+
 struct Shared {
     cfg: ServerConfig,
     handler: Arc<dyn Handler>,
     stats: Arc<ServerStats>,
     breaker: Arc<CircuitBreaker>,
-    queue: Mutex<VecDeque<TcpStream>>,
-    available: Condvar,
     shutdown: AtomicBool,
-    admitted: AtomicUsize,
+    /// Open connections; its length is what `max_inflight` bounds.
+    conns: Mutex<Vec<Arc<Conn>>>,
+    permits: Permits,
 }
 
 /// A bound-but-not-yet-running server. [`Server::start`] spawns the accept
-/// loop and workers and returns the [`ServerHandle`] that controls them.
+/// thread and returns the [`ServerHandle`] that controls it.
 pub struct Server {
     listener: TcpListener,
     addr: SocketAddr,
@@ -164,15 +241,15 @@ impl Server {
         let listener = TcpListener::bind(&cfg.addr)?;
         let addr = listener.local_addr()?;
         let breaker = Arc::new(CircuitBreaker::new(cfg.breaker));
+        let permits = Permits::new(cfg.threads.max(1));
         let shared = Arc::new(Shared {
             cfg,
             handler,
             stats: Arc::new(ServerStats::new()),
             breaker,
-            queue: Mutex::new(VecDeque::new()),
-            available: Condvar::new(),
             shutdown: AtomicBool::new(false),
-            admitted: AtomicUsize::new(0),
+            conns: Mutex::new(Vec::new()),
+            permits,
         });
         Ok(Server {
             listener,
@@ -196,32 +273,23 @@ impl Server {
         Arc::clone(&self.shared.breaker)
     }
 
-    /// Spawns the accept thread and `threads` workers.
+    /// Spawns the accept thread, which spawns one thread per admitted
+    /// connection.
     pub fn start(self) -> ServerHandle {
-        let addr = self.addr;
-        let mut threads = Vec::new();
-        let workers = self.shared.cfg.threads.max(1);
-        for i in 0..workers {
-            let shared = Arc::clone(&self.shared);
-            threads.push(
-                std::thread::Builder::new()
-                    .name(format!("serve-worker-{i}"))
-                    .spawn(move || worker_loop(&shared))
-                    .expect("spawn worker"),
-            );
-        }
         let shared = Arc::clone(&self.shared);
         let listener = self.listener;
-        threads.push(
-            std::thread::Builder::new()
-                .name("serve-accept".into())
-                .spawn(move || accept_loop(&listener, &shared))
-                .expect("spawn accept loop"),
-        );
+        let accept = std::thread::Builder::new()
+            .name("serve-accept".into())
+            .spawn(move || {
+                // Connection threads are scoped to this one, so joining it
+                // waits for every connection to end.
+                std::thread::scope(|scope| accept_loop(listener, &shared, scope))
+            })
+            .expect("spawn accept loop");
         ServerHandle {
-            addr,
+            addr: self.addr,
             shared: self.shared,
-            threads: Mutex::new(threads),
+            accept: Mutex::new(Some(accept)),
         }
     }
 }
@@ -230,7 +298,7 @@ impl Server {
 pub struct ServerHandle {
     addr: SocketAddr,
     shared: Arc<Shared>,
-    threads: Mutex<Vec<JoinHandle<()>>>,
+    accept: Mutex<Option<JoinHandle<()>>>,
 }
 
 impl ServerHandle {
@@ -249,9 +317,10 @@ impl ServerHandle {
         Arc::clone(&self.shared.breaker)
     }
 
-    /// Begins graceful shutdown: stops admitting connections, wakes the
-    /// accept call, and lets workers drain admitted requests. Idempotent;
-    /// returns immediately — pair with [`join`](Self::join).
+    /// Begins graceful shutdown: stops admitting connections, closes the
+    /// ones idling between requests, wakes the accept call, and lets busy
+    /// connections finish their current request. Idempotent; returns
+    /// immediately — pair with [`join`](Self::join).
     pub fn shutdown(&self) {
         if self.shared.shutdown.swap(true, Ordering::SeqCst) {
             return;
@@ -260,16 +329,23 @@ impl ServerHandle {
             .stats
             .shutting_down
             .store(true, Ordering::SeqCst);
+        // The flag is set before any idle flag is read, so a connection
+        // turning idle after this loop sees it (see `await_request`).
+        for conn in self.shared.conns.lock().expect("registry poisoned").iter() {
+            if conn.idle.swap(false, Ordering::SeqCst) {
+                let _ = conn.stream.shutdown(Shutdown::Both);
+            }
+        }
         // Wake the blocking accept() so the accept loop observes the flag.
         let _ = TcpStream::connect_timeout(&self.addr, Duration::from_secs(1));
-        self.shared.available.notify_all();
     }
 
-    /// Waits for the accept loop and every worker to exit (all admitted
-    /// requests answered). Call after [`shutdown`](Self::shutdown).
+    /// Waits for the accept thread and every connection thread to exit
+    /// (all admitted requests answered). Call after
+    /// [`shutdown`](Self::shutdown).
     pub fn join(&self) {
-        let threads: Vec<_> = self.threads.lock().unwrap().drain(..).collect();
-        for t in threads {
+        let accept = self.accept.lock().expect("accept handle poisoned").take();
+        if let Some(t) = accept {
             let _ = t.join();
         }
     }
@@ -281,7 +357,29 @@ impl ServerHandle {
     }
 }
 
-fn accept_loop(listener: &TcpListener, shared: &Shared) {
+/// Frees a connection's `max_inflight` slot when its thread ends, however
+/// it ends — or, when its thread could not be spawned, when the dropped
+/// closure takes this with it.
+struct Registration<'a> {
+    conn: Arc<Conn>,
+    shared: &'a Shared,
+}
+
+impl Drop for Registration<'_> {
+    fn drop(&mut self) {
+        self.shared
+            .conns
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .retain(|c| !Arc::ptr_eq(c, &self.conn));
+    }
+}
+
+fn accept_loop<'scope, 'env>(
+    listener: TcpListener,
+    shared: &'env Shared,
+    scope: &'scope Scope<'scope, 'env>,
+) {
     loop {
         let stream = match listener.accept() {
             Ok((stream, _)) => stream,
@@ -303,26 +401,47 @@ fn accept_loop(listener: &TcpListener, shared: &Shared) {
             continue;
         }
         // Admission control: reject with 503 + Retry-After rather than
-        // queueing unboundedly or silently dropping the connection.
-        let admitted = shared.admitted.load(Ordering::SeqCst);
-        if admitted >= shared.cfg.max_inflight {
-            shared.stats.rejected.fetch_add(1, Ordering::Relaxed);
-            let _ = stream.set_write_timeout(Some(shared.cfg.write_timeout));
-            let mut stream = stream;
-            if pre_parse_error(503, "capacity", "server at capacity", Some(1))
-                .write_to(&mut stream, false)
-                .is_ok()
-            {
-                lingering_close(stream);
-            }
+        // opening connections unboundedly or silently dropping one.
+        let mut conns = shared.conns.lock().expect("registry poisoned");
+        if conns.len() >= shared.cfg.max_inflight {
+            drop(conns);
+            refuse(&stream, shared);
             continue;
         }
-        shared.admitted.fetch_add(1, Ordering::SeqCst);
-        shared.queue.lock().unwrap().push_back(stream);
-        shared.available.notify_one();
+        let conn = Arc::new(Conn {
+            stream,
+            idle: AtomicBool::new(false),
+        });
+        conns.push(Arc::clone(&conn));
+        drop(conns);
+        let registration = Registration {
+            conn: Arc::clone(&conn),
+            shared,
+        };
+        let spawned = std::thread::Builder::new()
+            .name("serve-conn".into())
+            .spawn_scoped(scope, move || {
+                serve_connection(&registration.conn, shared);
+            });
+        if spawned.is_err() {
+            refuse(&conn.stream, shared);
+        }
     }
-    // No more admissions; wake every worker so idle ones can exit.
-    shared.available.notify_all();
+    // The listener drops here: connections arriving during the drain are
+    // refused by the kernel instead of waiting in the backlog.
+}
+
+/// Answers a connection the server will not serve with the capacity 503.
+fn refuse(stream: &TcpStream, shared: &Shared) {
+    shared.stats.rejected.fetch_add(1, Ordering::Relaxed);
+    let _ = stream.set_write_timeout(Some(shared.cfg.write_timeout));
+    let mut writer = stream;
+    if pre_parse_error(503, "capacity", "server at capacity", Some(1))
+        .write_to(&mut writer, false)
+        .is_ok()
+    {
+        lingering_close(stream);
+    }
 }
 
 /// The error envelope for a response sent before (or instead of) parsing
@@ -342,43 +461,48 @@ fn pre_parse_error(status: u16, code: &str, message: &str, retry_after_s: Option
 /// the peer wrote until EOF or a short timeout, so the 503 survives the
 /// close. The timeout bounds how long a slow peer can pin the accept
 /// thread during a rejection storm.
-fn lingering_close(stream: TcpStream) {
+fn lingering_close(stream: &TcpStream) {
     use std::io::Read;
-    use std::net::Shutdown;
     let _ = stream.shutdown(Shutdown::Write);
     let _ = stream.set_read_timeout(Some(Duration::from_millis(200)));
-    let mut stream = stream;
+    let mut reader = stream;
     let mut sink = [0u8; 1024];
-    while matches!(stream.read(&mut sink), Ok(n) if n > 0) {}
+    while matches!(reader.read(&mut sink), Ok(n) if n > 0) {}
 }
 
-fn worker_loop(shared: &Shared) {
-    loop {
-        let stream = {
-            let mut queue = shared.queue.lock().unwrap();
-            loop {
-                if let Some(stream) = queue.pop_front() {
-                    break stream;
-                }
-                if shared.shutdown.load(Ordering::SeqCst) {
-                    return; // queue drained and no more admissions
-                }
-                queue = shared.available.wait(queue).unwrap();
-            }
-        };
-        serve_connection(stream, shared);
-        shared.admitted.fetch_sub(1, Ordering::SeqCst);
+/// Waits, as an idle connection, for the first byte of the next request.
+/// `false` means the connection ends instead: the peer closed it, it idled
+/// past the read timeout, or shutdown began. The wait is the read the
+/// parser would make anyway, and a request already buffered (pipelined)
+/// skips it, so this adds no syscall per request.
+fn await_request(conn: &Conn, reader: &mut BufReader<&TcpStream>, shared: &Shared) -> bool {
+    if !reader.buffer().is_empty() {
+        return true;
     }
+    conn.idle.store(true, Ordering::SeqCst);
+    // Checked after raising the idle flag: shutdown sets its own flag
+    // before reading ours, so either it closes this socket or we see it.
+    if shared.shutdown.load(Ordering::SeqCst) {
+        return false;
+    }
+    let arrived = loop {
+        match reader.fill_buf() {
+            Ok(buf) => break !buf.is_empty(),
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(_) => break false,
+        }
+    };
+    // Shutdown may have closed the socket while it idled; the swap tells
+    // which side got there first.
+    conn.idle.swap(false, Ordering::SeqCst) && arrived
 }
 
-fn serve_connection(stream: TcpStream, shared: &Shared) {
+fn serve_connection(conn: &Conn, shared: &Shared) {
+    let stream = &conn.stream;
     let _ = stream.set_read_timeout(Some(shared.cfg.read_timeout));
     let _ = stream.set_write_timeout(Some(shared.cfg.write_timeout));
     let _ = stream.set_nodelay(true);
-    let mut writer = match stream.try_clone() {
-        Ok(w) => w,
-        Err(_) => return,
-    };
+    let mut writer = stream;
     let mut reader = BufReader::new(stream);
     loop {
         // Chaos seam: a read fault stalls (hang) or tears (anything else)
@@ -390,6 +514,9 @@ fn serve_connection(stream: TcpStream, shared: &Shared) {
                 }
                 _ => return,
             }
+        }
+        if !await_request(conn, &mut reader, shared) {
+            return;
         }
         let mut req = match read_request(&mut reader) {
             Ok(req) => req,
@@ -410,6 +537,8 @@ fn serve_connection(stream: TcpStream, shared: &Shared) {
             }
             Err(ReadError::Io(_)) => return,
         };
+        // Held until the response, streamed body included, is written.
+        let _permit = shared.permits.acquire();
 
         // Correlation id: honor a well-formed client-supplied one so
         // multi-hop callers can stitch their traces together; anything
@@ -479,7 +608,7 @@ fn serve_connection(stream: TcpStream, shared: &Shared) {
                 _ => return,
             }
         }
-        // Stop keeping alive once shutdown begins so workers can drain.
+        // Stop keeping alive once shutdown begins so connections drain.
         let keep_alive = req.wants_keep_alive() && !shared.shutdown.load(Ordering::SeqCst);
         if resp.write_to(&mut writer, keep_alive).is_err() {
             return;
@@ -598,6 +727,112 @@ mod tests {
         assert_eq!(resp.status, 200, "in-flight request answered, not dropped");
         // The listener is gone: new connections fail or are never served.
         assert!(TcpStream::connect_timeout(&handle.addr(), Duration::from_millis(200)).is_err());
+    }
+
+    /// A server with a 30 s read timeout, so a test that finishes quickly
+    /// shows that no connection waited one out.
+    fn patient_server(threads: usize, handler: impl Handler) -> ServerHandle {
+        let cfg = ServerConfig {
+            addr: "127.0.0.1:0".into(),
+            threads,
+            read_timeout: Duration::from_secs(30),
+            ..ServerConfig::default()
+        };
+        Server::bind(cfg, Arc::new(handler)).unwrap().start()
+    }
+
+    #[test]
+    fn idle_keep_alive_connections_hold_no_request_permit() {
+        let handle = patient_server(1, |_req: &Request| Response::text(200, "ok"));
+        let addr = handle.addr().to_string();
+        // Three clients finish a request each and stay connected, idle.
+        let mut idle = Vec::new();
+        for _ in 0..3 {
+            let mut client = Client::new(addr.clone()).with_timeout(Duration::from_secs(2));
+            assert_eq!(client.get("/first").unwrap().status, 200);
+            idle.push(client);
+        }
+        // The only permit is free, so a fourth connection is served now,
+        // not after an idle one times out.
+        let start = Instant::now();
+        let resp = Client::new(addr)
+            .with_timeout(Duration::from_secs(2))
+            .get("/fourth")
+            .unwrap();
+        assert_eq!(resp.status, 200);
+        assert!(start.elapsed() < Duration::from_secs(2));
+        assert!(idle.iter().all(Client::has_connection));
+        handle.shutdown_and_join();
+    }
+
+    #[test]
+    fn permits_bound_requests_and_streamed_bodies() {
+        use crate::http::BodyStream;
+        use std::sync::atomic::AtomicUsize;
+        use std::sync::Barrier;
+        // Records the most bodies produced at once; half are streamed,
+        // produced after the handler has returned.
+        let active = Arc::new(AtomicUsize::new(0));
+        let peak = Arc::new(AtomicUsize::new(0));
+        let busy: Arc<dyn Fn() + Send + Sync> = {
+            let (active, peak) = (Arc::clone(&active), Arc::clone(&peak));
+            Arc::new(move || {
+                let now = active.fetch_add(1, Ordering::SeqCst) + 1;
+                peak.fetch_max(now, Ordering::SeqCst);
+                std::thread::sleep(Duration::from_millis(50));
+                active.fetch_sub(1, Ordering::SeqCst);
+            })
+        };
+        let handler = move |req: &Request| {
+            let busy = Arc::clone(&busy);
+            if req.path == "/stream" {
+                let stream = BodyStream::new(move |sink| {
+                    busy();
+                    sink.send(b"streamed")
+                });
+                Response::streaming(200, "text/plain", stream)
+            } else {
+                busy();
+                Response::text(200, "buffered")
+            }
+        };
+        let handle = patient_server(2, handler);
+        let addr = handle.addr().to_string();
+        // Every client keeps its connection until all eight are answered.
+        let answered = Arc::new(Barrier::new(8));
+        let clients: Vec<_> = (0..8)
+            .map(|i| {
+                let (addr, answered) = (addr.clone(), Arc::clone(&answered));
+                std::thread::spawn(move || {
+                    let mut client = Client::new(addr).with_timeout(Duration::from_secs(5));
+                    let path = if i % 2 == 0 { "/stream" } else { "/buffer" };
+                    let status = client.get(path).map_or(0, |r| r.status);
+                    answered.wait();
+                    status
+                })
+            })
+            .collect();
+        let statuses: Vec<u16> = clients.into_iter().map(|t| t.join().unwrap()).collect();
+        assert_eq!(statuses, vec![200; 8]);
+        assert_eq!(peak.load(Ordering::SeqCst), 2, "two permits, two at once");
+        handle.shutdown_and_join();
+    }
+
+    #[test]
+    fn shutdown_closes_idle_keep_alive_connections() {
+        let handle = patient_server(2, |_req: &Request| Response::text(200, "ok"));
+        let mut client = Client::new(handle.addr().to_string());
+        assert_eq!(client.get("/warm").unwrap().status, 200);
+        assert!(client.has_connection(), "idle keep-alive connection held");
+        let start = Instant::now();
+        handle.shutdown_and_join();
+        assert!(
+            start.elapsed() < Duration::from_secs(2),
+            "shutdown waited {:?} on an idle connection",
+            start.elapsed()
+        );
+        // The idle connection was closed, and nothing listens any more.
+        assert!(client.get("/after").is_err());
     }
 
     #[test]

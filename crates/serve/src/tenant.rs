@@ -114,7 +114,7 @@ impl Bucket {
 
 /// The admission gate: one token bucket per configured tenant. Cheap to
 /// consult when disabled (one branch); shared behind an `Arc` by the
-/// server's worker threads.
+/// server's connection threads.
 #[derive(Debug, Default)]
 pub struct TenantGate {
     buckets: Vec<Bucket>,
