@@ -19,6 +19,12 @@ cargo test --release --offline --manifest-path perfbench/Cargo.toml
 ! grep -rn "Response::text(4" crates/serve/src crates/cluster/src --include='*.rs'
 ! grep -rn "Response::text(5" crates/serve/src crates/cluster/src --include='*.rs'
 
+# The journal protocol (write-ahead intent, record appends, seal, replay,
+# resume, recovery count) lives only in serve's shared async-job layer
+# (crates/serve/src/front.rs): the coordinator must not drive a journal
+# of its own again.
+! grep -rnE 'journal\.(begin|append_record|finish|replay|incomplete|mark_recovered)\(' crates/cluster/src
+
 # Server smoke: ephemeral port, /healthz + one POST /v1/runs through the
 # std-only client, warm repeat must be a byte-identical cache hit, the
 # deprecated /v1/run alias must answer byte-identically with a

@@ -580,13 +580,13 @@ fn main() {
 }
 
 /// Process-wide counts for the hot-path phases the tentpole optimized:
-/// the simulator's event-queue pops and the engine's cache fast path
+/// the simulator's next-completion scans and the engine's cache fast path
 /// (probe / zero-copy validate / full decode / execute). Counts cover
 /// the whole perf run; the interesting signal is the ratio — warm reads
 /// should validate, not decode.
 fn hot_phases() -> Json {
     const HOT: [&str; 5] = [
-        "sim.event_pop",
+        "sim.next_completion",
         "engine.cache_probe",
         "engine.cache_validate",
         "engine.cache_decode",

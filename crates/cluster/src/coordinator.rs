@@ -6,6 +6,13 @@
 //! work anywhere, the coordinator asks the owning shard for a cached
 //! record (`GET /v1/runs/{key}` is side-effect-free on the worker).
 //!
+//! [`Coordinator`] is a [`Backend`] of serve's request core
+//! ([`heteropipe_serve::front`]), which routes, admits, journals async
+//! jobs and emits the shared metric families for it. This module answers
+//! only what a cluster answers differently: runs, sweeps, traces,
+//! experiments and named workflows placed on workers, readiness by worker
+//! health, and the `cluster` and `federation` metric blocks.
+//!
 //! Failure semantics (full treatment in `docs/cluster.md`): each worker
 //! has its own circuit breaker; a transport failure records against it,
 //! masks the worker out of the current request, and rehashes the affected
@@ -16,28 +23,26 @@
 //! let `heteropipe-faults` inject partitions and slow workers at the
 //! exact seams real networks fail on.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, Weak};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use heteropipe_engine::{run_key, sweep_key, Engine, Journal, RunKey};
+use heteropipe_engine::{run_key, Engine, Journal, RunKey};
 use heteropipe_faults::{FaultKind, Injector, Site};
-use heteropipe_flow::{FlowRunner, Stage, StageKind, StageValue, TaskGraph};
+use heteropipe_flow::{FlowRunner, TaskGraph};
 use heteropipe_obs::log as obs_log;
 use heteropipe_obs::{HistogramHandle, MetricRegistry};
-use heteropipe_serve::api::{
-    self, parse_body, parse_job_spec, stage_event_json, sweep_entries, wants_async,
-    wants_prometheus, workflow_graph, workflow_result_json, workflow_summary_json, SpecError,
-    MAX_SWEEP_JOBS, MAX_WORKFLOW_STAGES,
-};
+use heteropipe_serve::api::{OwnedJobSpec, SpecError};
 use heteropipe_serve::breaker::{Admission, BreakerConfig, CircuitBreaker};
 use heteropipe_serve::error::envelope;
-use heteropipe_serve::http::{BodyStream, Request, Response};
-use heteropipe_serve::jobs::{self, AsyncJob, AsyncJobs, JobState};
+use heteropipe_serve::front::{
+    self, fail, Backend, Core, Deadline, Door, Readiness, RecordFn, SweepJob, SweepRun,
+};
+use heteropipe_serve::http::{Request, Response};
 use heteropipe_serve::json::Json;
-use heteropipe_serve::server::{Handler, Server, ServerConfig, ServerHandle, ServerStats};
-use heteropipe_serve::tenant::{Admit, TenantGate};
+use heteropipe_serve::server::{Handler, ServerConfig, ServerHandle, ServerStats};
+use heteropipe_serve::tenant::TenantGate;
 use heteropipe_serve::{Client, ClientPool, ClientResponse};
 
 use crate::flight::{FlightMap, FlightResult};
@@ -83,53 +88,6 @@ fn trace_context(rid: &str, parent: &str, offset_us: u64) -> String {
 /// docs/observability.md measured as the cluster's dominant overhead.
 const PROBE_CONCURRENCY: usize = 8;
 
-/// A request's absolute deadline, derived from its `X-Deadline-Ms`
-/// budget at admission. Copy so sweep shards and stage closures can
-/// carry it; each coordinator→worker hop re-derives the remaining
-/// budget and forwards it as the next hop's `X-Deadline-Ms`.
-#[derive(Clone, Copy)]
-pub(crate) struct Deadline(Option<Instant>);
-
-impl Deadline {
-    /// No deadline: every hop proceeds, no header forwarded.
-    fn none() -> Deadline {
-        Deadline(None)
-    }
-
-    /// The deadline a request's (already validated) header implies.
-    fn from_request(req: &Request) -> Deadline {
-        Deadline(
-            api::deadline_ms(req)
-                .ok()
-                .flatten()
-                .map(|ms| Instant::now() + Duration::from_millis(ms)),
-        )
-    }
-
-    /// Whether the budget is spent.
-    fn expired(&self) -> bool {
-        self.0.is_some_and(|dl| Instant::now() >= dl)
-    }
-
-    /// Milliseconds left to forward downstream: `Ok(None)` when no
-    /// deadline is set, `Err(())` when the budget is spent (a whole
-    /// remaining millisecond is required — forwarding `0` would only
-    /// make the worker refuse the call anyway).
-    fn remaining_ms(&self) -> Result<Option<u64>, ()> {
-        match self.0 {
-            None => Ok(None),
-            Some(dl) => {
-                let left = dl.saturating_duration_since(Instant::now()).as_millis() as u64;
-                if left == 0 {
-                    Err(())
-                } else {
-                    Ok(Some(left))
-                }
-            }
-        }
-    }
-}
-
 /// Coordinator tuning knobs.
 #[derive(Clone)]
 pub struct ClusterConfig {
@@ -174,10 +132,11 @@ pub struct Coordinator {
     pool: ClientPool,
     flights: FlightMap,
     faults: Arc<Injector>,
-    /// Runs inline workflow graphs locally; stage bodies execute cluster
-    /// sweeps, so the engine behind this runner only memoizes stage
-    /// values — it never simulates, hence memory-cache-only.
-    flow: Arc<FlowRunner>,
+    /// The request core's state. Its flow runner runs inline workflow
+    /// graphs here, with stage sweeps fanned out across the cluster, so
+    /// the engine behind it only memoizes stage values — it never
+    /// simulates, hence memory-cache-only.
+    core: Core<Coordinator>,
     rehashes: AtomicU64,
     flights_coalesced: AtomicU64,
     sweeps: AtomicU64,
@@ -185,22 +144,11 @@ pub struct Coordinator {
     /// Stitch plans for recent cluster sweeps, resolved lazily by
     /// `GET /v1/sweeps/{key}/trace` (see `crate::stitch`).
     stitch: StitchStore,
-    stats: OnceLock<Arc<ServerStats>>,
-    self_ref: OnceLock<Weak<Coordinator>>,
-    /// Write-ahead journal for async cluster sweeps/workflows, when the
-    /// coordinator was started durably (see [`serve_cluster_durable`]).
-    journal: OnceLock<Arc<Journal>>,
-    /// Live `?async=1` job registry (shared shape with serve's `Api`).
-    async_jobs: AsyncJobs,
-    /// Per-tenant admission gate (`HETEROPIPE_TENANTS`).
-    tenants: OnceLock<Arc<TenantGate>>,
-    /// Requests refused or aborted because their deadline budget ran out.
-    deadline_exceeded: AtomicU64,
 }
 
 /// Binds and starts a server running a [`Coordinator`] over `cluster`.
 pub fn serve_cluster(cfg: ServerConfig, cluster: ClusterConfig) -> std::io::Result<ServerHandle> {
-    serve_cluster_inner(cfg, cluster, None)
+    front::start(cfg, Coordinator::new(cluster), None)
 }
 
 /// Like [`serve_cluster`], but with a write-ahead journal: async sweeps
@@ -211,27 +159,7 @@ pub fn serve_cluster_durable(
     cluster: ClusterConfig,
     journal: Arc<Journal>,
 ) -> std::io::Result<ServerHandle> {
-    serve_cluster_inner(cfg, cluster, Some(journal))
-}
-
-fn serve_cluster_inner(
-    cfg: ServerConfig,
-    cluster: ClusterConfig,
-    journal: Option<Arc<Journal>>,
-) -> std::io::Result<ServerHandle> {
-    let coordinator = Coordinator::new(cluster);
-    let tenants = TenantGate::from_env()
-        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidInput, e))?;
-    coordinator.attach_tenants(Arc::new(tenants));
-    if let Some(journal) = journal {
-        coordinator.attach_journal(journal);
-    }
-    let handler: Arc<dyn Handler> = Arc::clone(&coordinator) as Arc<dyn Handler>;
-    let server = Server::bind(cfg, handler)?;
-    coordinator.attach_stats(server.stats());
-    let handle = server.start();
-    coordinator.resume_incomplete();
-    Ok(handle)
+    front::start(cfg, Coordinator::new(cluster), Some(journal))
 }
 
 impl Coordinator {
@@ -252,91 +180,36 @@ impl Coordinator {
             })
             .collect();
         let flow = Arc::new(FlowRunner::new(Arc::new(Engine::new().memory_cache_only())));
-        let coordinator = Arc::new(Coordinator {
+        Arc::new_cyclic(|me| Coordinator {
             ring: WorkerRing::new(cfg.workers),
             workers,
             pool: ClientPool::new().with_timeout(cfg.timeout),
             flights: FlightMap::new(),
             faults: cfg.faults,
-            flow,
+            core: Core::new(me.clone(), flow),
             rehashes: AtomicU64::new(0),
             flights_coalesced: AtomicU64::new(0),
             sweeps: AtomicU64::new(0),
             sweep_jobs: AtomicU64::new(0),
             stitch: StitchStore::new(STITCH_CAP),
-            stats: OnceLock::new(),
-            self_ref: OnceLock::new(),
-            journal: OnceLock::new(),
-            async_jobs: AsyncJobs::new(),
-            tenants: OnceLock::new(),
-            deadline_exceeded: AtomicU64::new(0),
-        });
-        let weak = Arc::downgrade(&coordinator);
-        let _ = coordinator.self_ref.set(weak);
-        coordinator
+        })
     }
 
     /// Wires in the write-ahead journal for async jobs. Called by
     /// [`serve_cluster_durable`]; later calls are ignored.
     pub fn attach_journal(&self, journal: Arc<Journal>) {
-        let _ = self.journal.set(journal);
+        self.core.attach_journal(journal);
     }
 
     /// Wires in the per-tenant admission gate. Called by
     /// [`serve_cluster`]; later calls are ignored.
     pub fn attach_tenants(&self, tenants: Arc<TenantGate>) {
-        let _ = self.tenants.set(tenants);
+        self.core.attach_tenants(tenants);
     }
 
     /// The attached journal, when this coordinator was started durably.
     pub fn journal(&self) -> Option<&Arc<Journal>> {
-        self.journal.get()
-    }
-
-    /// Request admission: per-tenant token buckets and the deadline
-    /// header, checked before routing. Observability routes stay exempt
-    /// so throttled tenants can still watch their own backlog drain.
-    fn admission(&self, req: &Request) -> Option<Response> {
-        let exempt = matches!(
-            req.path.as_str(),
-            "/healthz" | "/healthz/live" | "/healthz/ready" | "/metrics"
-        );
-        if exempt {
-            return None;
-        }
-        if let Some(gate) = self.tenants.get() {
-            if let Admit::Throttled {
-                tenant,
-                retry_after_s,
-            } = gate.admit(req.header("x-api-key"))
-            {
-                return Some(envelope(
-                    429,
-                    "tenant_throttled",
-                    &format!("tenant {tenant:?} is over its request budget"),
-                    Some(retry_after_s),
-                    &req.request_id,
-                ));
-            }
-        }
-        match api::deadline_ms(req) {
-            Err(e) => Some(fail(req, 400, "bad_request", &e)),
-            Ok(Some(0)) => Some(self.deadline_refusal(req)),
-            Ok(_) => None,
-        }
-    }
-
-    /// The 504 envelope for a request whose deadline budget is already
-    /// spent, counted for `/metrics`.
-    fn deadline_refusal(&self, req: &Request) -> Response {
-        self.deadline_exceeded.fetch_add(1, Ordering::Relaxed);
-        envelope(
-            504,
-            "deadline_exceeded",
-            "deadline budget exhausted before execution",
-            Some(1),
-            &req.request_id,
-        )
+        self.core.journal()
     }
 
     /// The worker addresses this coordinator shards over, in slot order.
@@ -347,7 +220,7 @@ impl Coordinator {
     /// Wires in the server's counters so `/metrics` can report them.
     /// Called by [`serve_cluster`]; later calls are ignored.
     pub fn attach_stats(&self, stats: Arc<ServerStats>) {
-        let _ = self.stats.set(stats);
+        self.core.attach_stats(stats);
     }
 
     // ---- worker transport -------------------------------------------------
@@ -449,196 +322,90 @@ impl Coordinator {
             Ok(None)
         }
     }
-}
 
-/// A worker's response replayed verbatim (status + JSON body), plus any
-/// resource-address headers worth keeping.
-fn passthrough(resp: &ClientResponse) -> Response {
-    let mut out = Response {
-        status: resp.status,
-        headers: vec![("Content-Type".into(), "application/json".into())],
-        body: resp.body.clone(),
-        chunked: false,
-        stream: None,
-    };
-    for name in [
-        "X-Run-Key",
-        "X-Sweep-Key",
-        "X-Workflow-Key",
-        "ETag",
-        "Retry-After",
-    ] {
-        if let Some(v) = resp.header(&name.to_ascii_lowercase()) {
-            out = out.with_header(name, v);
-        }
-    }
-    out
-}
-
-fn fail(req: &Request, status: u16, code: &str, message: &str) -> Response {
-    envelope(status, code, message, None, &req.request_id)
-}
-
-fn spec_fail(req: &Request, e: &SpecError) -> Response {
-    fail(req, e.status, e.code, &e.message)
-}
-
-fn method_not_allowed(req: &Request, allow: &str) -> Response {
-    fail(req, 405, "method_not_allowed", "method not allowed").with_header("Allow", allow)
-}
-
-fn no_workers(rid: &str) -> Response {
-    envelope(
-        503,
-        "no_workers",
-        "no live workers to place the request on",
-        Some(1),
-        rid,
-    )
-}
-
-fn valid_key(key: &str) -> bool {
-    key.len() == 32 && key.bytes().all(|b| b.is_ascii_hexdigit())
-}
-
-impl Handler for Coordinator {
-    fn handle(&self, req: &Request) -> Response {
-        if let Some(refused) = self.admission(req) {
-            return refused;
-        }
-        match (req.method.as_str(), req.path.as_str()) {
-            ("GET", "/healthz" | "/healthz/live") => {
-                Response::json(200, &Json::Obj(vec![("status".into(), Json::str("ok"))]))
+    /// Sends `req` on to the worker `pick` chooses under the
+    /// request-local down mask, walking on to the next choice as workers
+    /// fail in transport. `Err` is the envelope to answer instead: the
+    /// deadline is spent, or no worker is live.
+    fn forward(
+        &self,
+        req: &Request,
+        parent: &str,
+        pick: impl Fn(&[bool]) -> Option<usize>,
+        call: impl Fn(&mut Client, &[(&str, &str)]) -> std::io::Result<ClientResponse>,
+    ) -> Result<ClientResponse, Response> {
+        let deadline = Deadline::from_request(req);
+        let mut down = self.down_mask();
+        loop {
+            let Ok(budget) = deadline.remaining_ms() else {
+                return Err(self.core.deadline_refusal(req));
+            };
+            let budget = budget.map(|ms| ms.to_string());
+            let Some(slot) = pick(&down) else {
+                return Err(no_workers(&req.request_id));
+            };
+            let tc = trace_context(&req.request_id, parent, 0);
+            let mut headers = vec![
+                ("X-Request-Id", req.request_id.as_str()),
+                ("X-Trace-Context", tc.as_str()),
+            ];
+            if let Some(ms) = budget.as_deref() {
+                headers.push(("X-Deadline-Ms", ms));
             }
-            ("GET", "/healthz/ready") => self.ready(req),
-            ("GET", "/metrics") => self.metrics(req),
-            ("GET", "/v1/benchmarks") => api::benchmarks(),
-            ("GET", "/v1/debug/profile") => api::profile_snapshot(),
-            ("POST", "/v1/runs") => self.run(req),
-            ("POST", "/v1/sweeps") => self.sweeps(req),
-            ("POST", "/v1/workflows") => self.workflows(req),
-            (_, path) if path.starts_with("/v1/workflows/") => {
-                let key = &path["/v1/workflows/".len()..];
-                if req.method == "GET" {
-                    self.workflow_lookup(req, key)
-                } else {
-                    method_not_allowed(req, "GET")
+            match self.call_worker(slot, Site::ClusterForward, |c| call(c, &headers)) {
+                Ok(resp) => return Ok(resp),
+                Err(_) => {
+                    down[slot] = true;
+                    self.rehashes.fetch_add(1, Ordering::Relaxed);
                 }
             }
-            (_, path) if path.starts_with("/v1/runs/") => {
-                self.run_resource(req, &path["/v1/runs/".len()..])
-            }
-            // The stitched cross-node trace for a recent cluster sweep
-            // (see crate::stitch and docs/observability.md).
-            (_, path) if path.starts_with("/v1/sweeps/") => {
-                self.sweep_resource(req, &path["/v1/sweeps/".len()..])
-            }
-            // The experiment catalogue is static metadata; both GET forms
-            // answer locally from the same tables the workers serve.
-            ("GET", "/v1/experiments") => api::experiments(),
-            ("GET", path) if path.starts_with("/v1/experiments/") => {
-                api::experiment_lookup(req, &path["/v1/experiments/".len()..])
-            }
-            ("POST", path) if path.starts_with("/v1/experiments/") => self.experiment(req),
-            (
-                _,
-                "/healthz" | "/healthz/live" | "/healthz/ready" | "/metrics" | "/v1/benchmarks",
-            ) => method_not_allowed(req, "GET"),
-            (_, "/v1/runs" | "/v1/sweeps" | "/v1/workflows") => method_not_allowed(req, "POST"),
-            (_, "/v1/experiments") => method_not_allowed(req, "GET"),
-            (_, path) if path.starts_with("/v1/experiments/") => {
-                method_not_allowed(req, "GET, POST")
-            }
-            _ => fail(req, 404, "not_found", "no such route"),
         }
     }
-}
 
-impl Coordinator {
-    /// Readiness: 200 while at least one worker's breaker admits traffic
-    /// and the coordinator is not draining; 503 + `Retry-After` otherwise.
-    fn ready(&self, req: &Request) -> Response {
-        let down = self.down_mask();
-        let live = down.iter().filter(|&&d| !d).count();
-        let shutting_down = self
-            .stats
-            .get()
-            .is_some_and(|s| s.shutting_down.load(Ordering::SeqCst));
-        let probe = vec![
-            (
-                "status".to_string(),
-                Json::str(if live == 0 || shutting_down {
-                    "unready"
-                } else {
-                    "ready"
-                }),
-            ),
-            ("workers_total".to_string(), Json::U64(down.len() as u64)),
-            ("workers_live".to_string(), Json::U64(live as u64)),
-            ("shutting_down".to_string(), Json::Bool(shutting_down)),
-        ];
-        if live == 0 || shutting_down {
-            let mut fields = vec![
-                (
-                    "error".to_string(),
-                    Json::Obj(vec![
-                        ("code".into(), Json::str("unready")),
-                        (
-                            "message".into(),
-                            Json::str(if shutting_down {
-                                "shutting down"
-                            } else {
-                                "every worker breaker is open"
-                            }),
-                        ),
-                        ("retry_after_s".into(), Json::U64(1)),
-                    ]),
-                ),
-                ("request_id".to_string(), Json::str(&req.request_id)),
-            ];
-            fields.extend(probe);
-            Response::json(503, &Json::Obj(fields)).with_header("Retry-After", "1")
+    /// Forwards a GET for `path` to the worker owning `key` (reports,
+    /// traces and named workflows live where they ran).
+    fn proxy_to_owner(&self, req: &Request, key: &str, path: &str) -> Response {
+        let key = RunKey::from_hex(key).expect("validated by the router");
+        let owner = |down: &[bool]| self.ring.owner(key, down);
+        match self.forward(req, "proxy", owner, |c, h| c.get_with_headers(path, h)) {
+            Ok(resp) => passthrough(&resp),
+            Err(refusal) => refusal,
+        }
+    }
+
+    /// Proxies a whole built-in workflow request to the owner of its
+    /// workflow key — the figure pipeline runs where its cache lives.
+    fn proxy_workflow(&self, req: &Request, wkey: RunKey) -> Response {
+        // Forward the query string too, so `?async=1` survives the hop
+        // and journals on the owning worker, where lookups for this key
+        // land anyway.
+        let path = if req.query.is_empty() {
+            "/v1/workflows".to_string()
         } else {
-            Response::json(200, &Json::Obj(probe))
-        }
-    }
-
-    // ---- runs -------------------------------------------------------------
-
-    /// `POST /v1/runs`: coalesce concurrent identical requests onto one
-    /// flight, probe the owning shard's cache (the peer tier), and only
-    /// then forward the raw body to the owner — rehashing to the next
-    /// scorer when the owner is unreachable.
-    fn run(&self, req: &Request) -> Response {
-        let Some(body) = parse_body(req) else {
-            return fail(req, 400, "bad_request", "body must be a JSON object");
+            format!("/v1/workflows?{}", req.query)
         };
-        let job = match parse_job_spec(&body) {
-            Ok(job) => job,
-            Err(e) => return spec_fail(req, &e),
+        let owner = |down: &[bool]| self.ring.owner(wkey, down);
+        let post = |c: &mut Client, h: &[(&str, &str)]| {
+            c.post_raw_with_headers(&path, req.body.clone(), h)
         };
-        let key = run_key(&job.spec());
-        let deadline = Deadline::from_request(req);
-        let (result, coalesced) = self.flights.run(key.0, || {
-            self.lead_run(key, &req.body, &req.request_id, deadline)
-        });
-        if coalesced {
-            self.flights_coalesced.fetch_add(1, Ordering::Relaxed);
+        let resp = match self.forward(req, "workflow_forward", owner, post) {
+            Ok(resp) => resp,
+            Err(refusal) => return refusal,
+        };
+        if resp.status != 200 {
+            return passthrough(&resp);
         }
-        let mut resp = Response {
-            status: result.status,
-            headers: vec![("Content-Type".into(), "application/json".into())],
-            body: result.body,
-            chunked: false,
+        let mut out = Response {
+            status: resp.status,
+            headers: vec![("Content-Type".into(), "application/x-ndjson".into())],
+            body: resp.body,
+            chunked: true,
             stream: None,
         };
-        if let Some(k) = &result.run_key {
-            resp = resp.with_header("X-Run-Key", k);
+        if let Some(v) = resp.headers.iter().find(|(n, _)| n == "x-workflow-key") {
+            out = out.with_header("X-Workflow-Key", &v.1);
         }
-        if let Some(etag) = &result.etag {
-            resp = resp.with_header("ETag", etag);
-        }
-        resp
+        out
     }
 
     /// The leader's side of a run flight: peer probe, then forward.
@@ -647,14 +414,12 @@ impl Coordinator {
         let mut down = self.down_mask();
         loop {
             let Ok(budget) = deadline.remaining_ms() else {
-                self.deadline_exceeded.fetch_add(1, Ordering::Relaxed);
-                let resp = envelope(
+                let spent = SpecError::new(
                     504,
                     "deadline_exceeded",
                     "deadline budget exhausted mid-request",
-                    Some(1),
-                    rid,
                 );
+                let resp = self.core.refuse(rid, &spent);
                 return FlightResult {
                     status: resp.status,
                     body: resp.body,
@@ -716,142 +481,380 @@ impl Coordinator {
             }
         }
     }
+}
 
-    /// `GET /v1/runs/{key}[/trace]`: proxied to the owning shard (reports
-    /// and traces live where the run executed), rehashing on failure.
-    fn run_resource(&self, req: &Request, rest: &str) -> Response {
-        let (key, sub) = match rest.split_once('/') {
-            Some((key, sub)) => (key, Some(sub)),
-            None => (rest, None),
-        };
-        if req.method != "GET" {
-            return method_not_allowed(req, "GET");
+/// A worker's response replayed verbatim (status + JSON body), plus any
+/// resource-address headers worth keeping.
+fn passthrough(resp: &ClientResponse) -> Response {
+    let mut out = Response {
+        status: resp.status,
+        headers: vec![("Content-Type".into(), "application/json".into())],
+        body: resp.body.clone(),
+        chunked: false,
+        stream: None,
+    };
+    for name in [
+        "X-Run-Key",
+        "X-Sweep-Key",
+        "X-Workflow-Key",
+        "ETag",
+        "Retry-After",
+    ] {
+        if let Some(v) = resp.header(&name.to_ascii_lowercase()) {
+            out = out.with_header(name, v);
         }
-        if !valid_key(key) {
-            return fail(
-                req,
-                400,
-                "bad_request",
-                &format!("run key must be 32 hex characters, got {key:?}"),
-            );
-        }
-        match sub {
-            None | Some("trace") => {}
-            Some(other) => {
-                return fail(
-                    req,
-                    404,
-                    "not_found",
-                    &format!("no such run sub-resource: {other:?} (try /trace)"),
-                )
-            }
-        }
-        let parsed = RunKey::from_hex(key).expect("validated above");
-        self.proxy_to_owner(req, parsed, &req.path.clone())
+    }
+    out
+}
+
+fn no_workers(rid: &str) -> Response {
+    envelope(
+        503,
+        "no_workers",
+        "no live workers to place the request on",
+        Some(1),
+        rid,
+    )
+}
+
+impl Handler for Coordinator {
+    fn handle(&self, req: &Request) -> Response {
+        front::handle(self, req)
+    }
+}
+
+impl Backend for Coordinator {
+    const DOOR: Door = Door {
+        noun: "coordinator",
+        bin: "coordinator",
+        log: "cluster",
+    };
+    type Sweep = ClusterSweep;
+
+    fn core(&self) -> &Core<Coordinator> {
+        &self.core
     }
 
-    /// Forwards a GET for `path` to the worker owning `key`, walking down
-    /// the rendezvous ranking as workers fail.
-    fn proxy_to_owner(&self, req: &Request, key: RunKey, path: &str) -> Response {
+    /// `POST /v1/runs`: coalesce concurrent identical requests onto one
+    /// flight, probe the owning shard's cache (the peer tier), and only
+    /// then forward the raw body to the owner — rehashing to the next
+    /// scorer when the owner is unreachable.
+    fn run(&self, req: &Request, job: &OwnedJobSpec) -> Response {
+        let key = run_key(&job.spec());
         let deadline = Deadline::from_request(req);
-        let mut down = self.down_mask();
-        loop {
-            let Ok(budget) = deadline.remaining_ms() else {
-                return self.deadline_refusal(req);
-            };
-            let budget = budget.map(|ms| ms.to_string());
-            let Some(slot) = self.ring.owner(key, &down) else {
-                return no_workers(&req.request_id);
-            };
-            let tc = trace_context(&req.request_id, "proxy", 0);
-            let mut headers = vec![
-                ("X-Request-Id", req.request_id.as_str()),
-                ("X-Trace-Context", tc.as_str()),
-            ];
-            if let Some(ms) = budget.as_deref() {
-                headers.push(("X-Deadline-Ms", ms));
-            }
-            let result = self.call_worker(slot, Site::ClusterForward, |c| {
-                c.get_with_headers(path, &headers)
-            });
-            match result {
-                Ok(resp) => return passthrough(&resp),
-                Err(_) => {
-                    down[slot] = true;
-                    self.rehashes.fetch_add(1, Ordering::Relaxed);
-                }
-            }
+        let (result, coalesced) = self.flights.run(key.0, || {
+            self.lead_run(key, &req.body, &req.request_id, deadline)
+        });
+        if coalesced {
+            self.flights_coalesced.fetch_add(1, Ordering::Relaxed);
         }
+        let mut resp = Response {
+            status: result.status,
+            headers: vec![("Content-Type".into(), "application/json".into())],
+            body: result.body,
+            chunked: false,
+            stream: None,
+        };
+        if let Some(k) = &result.run_key {
+            resp = resp.with_header("X-Run-Key", k);
+        }
+        if let Some(etag) = &result.etag {
+            resp = resp.with_header("ETag", etag);
+        }
+        resp
+    }
+
+    fn run_report(&self, req: &Request, key: &str) -> Response {
+        self.proxy_to_owner(req, key, &format!("/v1/runs/{key}"))
+    }
+
+    fn run_trace(&self, req: &Request, key: &str) -> Response {
+        self.proxy_to_owner(req, key, &format!("/v1/runs/{key}/trace"))
+    }
+
+    /// `GET /v1/sweeps/{key}/trace`: resolves the retained stitch plan
+    /// into one Chrome trace — coordinator spans plus each worker's
+    /// journaled sweep phases on its own process lane (see
+    /// `crate::stitch`). Worker traces are fetched lazily here, so the
+    /// sweep's hot path pays nothing for stitching.
+    fn sweep_trace(&self, req: &Request, key: &str) -> Response {
+        let rid = &req.request_id;
+        let deadline = Deadline::from_request(req);
+        let rendered = self.stitch.with(&key.to_ascii_lowercase(), |plan| {
+            stitch::render(plan, |shard| {
+                let wskey = shard.worker_sweep_key.as_deref()?;
+                // A spent budget degrades the stitch to coordinator-only
+                // lanes instead of chasing worker traces past it.
+                let budget = deadline.remaining_ms().ok()?;
+                let budget = budget.map(|ms| ms.to_string());
+                let path = format!("/v1/sweeps/{wskey}/trace");
+                let tc = trace_context(rid, "stitch_fetch", 0);
+                let mut headers = vec![("X-Request-Id", rid.as_str()), ("X-Trace-Context", &tc)];
+                if let Some(ms) = budget.as_deref() {
+                    headers.push(("X-Deadline-Ms", ms));
+                }
+                let resp = self
+                    .call_worker(shard.slot, Site::ClusterForward, |c| {
+                        c.get_with_headers(&path, &headers)
+                    })
+                    .ok()?;
+                if resp.status != 200 {
+                    return None;
+                }
+                String::from_utf8(resp.body).ok()
+            })
+        });
+        match rendered {
+            Some(json) => Response {
+                status: 200,
+                headers: vec![("Content-Type".into(), "application/json".into())],
+                body: json.into_bytes(),
+                chunked: false,
+                stream: None,
+            },
+            None => fail(
+                req,
+                404,
+                "not_found",
+                "no stitched trace retained for that sweep key",
+            ),
+        }
+    }
+
+    fn sweep(
+        &self,
+        job: &Arc<SweepJob>,
+        rid: &str,
+        deadline: Deadline,
+    ) -> Result<ClusterSweep, SpecError> {
+        let sweep = self.cluster_sweep(job, rid, deadline)?;
+        self.sweeps.fetch_add(1, Ordering::Relaxed);
+        self.sweep_jobs
+            .fetch_add(sweep.summary.jobs_total, Ordering::Relaxed);
+        Ok(sweep)
     }
 
     /// `POST /v1/experiments/{name}`: whole-figure renders have no run key
     /// to shard on; they go to the first live slot (deterministic, and the
     /// worker's own caches keep repeats cheap).
-    fn experiment(&self, req: &Request) -> Response {
-        let deadline = Deadline::from_request(req);
-        let mut down = self.down_mask();
-        loop {
-            let Ok(budget) = deadline.remaining_ms() else {
-                return self.deadline_refusal(req);
-            };
-            let budget = budget.map(|ms| ms.to_string());
-            let Some(slot) = (0..self.ring.len()).find(|&s| !down[s]) else {
-                return no_workers(&req.request_id);
-            };
-            let tc = trace_context(&req.request_id, "experiment", 0);
-            let mut headers = vec![
-                ("X-Request-Id", req.request_id.as_str()),
-                ("X-Trace-Context", tc.as_str()),
-            ];
-            if let Some(ms) = budget.as_deref() {
-                headers.push(("X-Deadline-Ms", ms));
-            }
-            let result = self.call_worker(slot, Site::ClusterForward, |c| {
-                c.post_raw_with_headers(&req.path, req.body.clone(), &headers)
-            });
-            match result {
-                Ok(resp) => return passthrough(&resp),
-                Err(_) => {
-                    down[slot] = true;
-                    self.rehashes.fetch_add(1, Ordering::Relaxed);
-                }
-            }
+    fn experiment(&self, req: &Request, _name: &str) -> Response {
+        let first_live = |down: &[bool]| (0..self.ring.len()).find(|&s| !down[s]);
+        let post = |c: &mut Client, h: &[(&str, &str)]| {
+            c.post_raw_with_headers(&req.path, req.body.clone(), h)
+        };
+        match self.forward(req, "experiment", first_live, post) {
+            Ok(resp) => passthrough(&resp),
+            Err(refusal) => refusal,
         }
+    }
+
+    fn named_workflow(&self, req: &Request, _: Json, _: TaskGraph, key: RunKey) -> Response {
+        self.proxy_workflow(req, key)
+    }
+
+    /// Built-in graphs journal on the worker that ran them: ask the key's
+    /// owner.
+    fn workflow_elsewhere(&self, req: &Request, key: &str) -> Response {
+        self.proxy_to_owner(req, key, &format!("/v1/workflows/{key}"))
+    }
+
+    /// Unready while every worker's breaker is open.
+    fn readiness(&self) -> Readiness {
+        let down = self.down_mask();
+        let live = down.iter().filter(|&&d| !d).count();
+        Readiness {
+            fields: vec![
+                ("workers_total".to_string(), Json::U64(down.len() as u64)),
+                ("workers_live".to_string(), Json::U64(live as u64)),
+            ],
+            unready: (live == 0).then_some("every worker breaker is open"),
+            retry_after_s: 1,
+        }
+    }
+
+    fn faults(&self) -> &Injector {
+        &self.faults
+    }
+
+    /// The federated worker families first (so this scrape's failures are
+    /// visible in the scrape-error counters below), then the per-worker
+    /// and cluster-wide coordinator families.
+    fn prometheus(&self, r: &MetricRegistry) {
+        use std::sync::atomic::Ordering::Relaxed;
+        self.federate(r);
+        for w in &self.workers {
+            let labels: &[(&str, &str)] = &[("worker", w.addr.as_str())];
+            r.counter_with(
+                "heteropipe_cluster_forwarded_total",
+                "Coordinator calls answered by this worker (probes and forwards).",
+                labels,
+            )
+            .set(w.forwarded.load(Relaxed));
+            r.counter_with(
+                "heteropipe_cluster_peer_cache_hits_total",
+                "Peer-cache probes answered from this worker's disk cache.",
+                labels,
+            )
+            .set(w.peer_hits.load(Relaxed));
+            r.counter_with(
+                "heteropipe_cluster_peer_cache_misses_total",
+                "Peer-cache probes this worker answered with a miss.",
+                labels,
+            )
+            .set(w.peer_misses.load(Relaxed));
+            r.counter_with(
+                "heteropipe_cluster_worker_failures_total",
+                "Coordinator calls to this worker that failed in transport.",
+                labels,
+            )
+            .set(w.failures.load(Relaxed));
+            r.counter_with(
+                "heteropipe_cluster_scrape_errors_total",
+                "Federated metrics scrapes of this worker that failed.",
+                labels,
+            )
+            .set(w.scrape_errors.load(Relaxed));
+            r.gauge_with(
+                "heteropipe_cluster_worker_healthy",
+                "Whether this worker's breaker admits traffic (1 = healthy).",
+                labels,
+            )
+            .set(f64::from(u8::from(!w.breaker.currently_open())));
+            r.histogram_with(
+                "heteropipe_cluster_forward_latency_microseconds",
+                "Coordinator-observed latency of calls to this worker.",
+                labels,
+            )
+            .merge(&w.fwd_us.snapshot());
+        }
+        let set = |name: &str, help: &str, v: u64| r.counter(name, help).set(v);
+        set(
+            "heteropipe_cluster_rehashes_total",
+            "Key placements moved off an unreachable worker.",
+            self.rehashes.load(Relaxed),
+        );
+        set(
+            "heteropipe_cluster_flights_coalesced_total",
+            "Requests coalesced onto a concurrent identical run flight.",
+            self.flights_coalesced.load(Relaxed),
+        );
+        set(
+            "heteropipe_cluster_sweeps_total",
+            "Sweeps merged through the coordinator.",
+            self.sweeps.load(Relaxed),
+        );
+        set(
+            "heteropipe_cluster_sweep_jobs_total",
+            "Entries submitted across all coordinator sweeps.",
+            self.sweep_jobs.load(Relaxed),
+        );
+    }
+
+    /// `cluster` ahead of the shared fields, `federation` after them.
+    fn metrics_json(&self, shared: Vec<(String, Json)>) -> Vec<(String, Json)> {
+        use std::sync::atomic::Ordering::Relaxed;
+        let workers: Vec<Json> = self
+            .workers
+            .iter()
+            .enumerate()
+            .map(|(slot, w)| {
+                Json::Obj(vec![
+                    ("slot".into(), Json::U64(slot as u64)),
+                    ("addr".into(), Json::str(w.addr.clone())),
+                    ("breaker".into(), Json::str(w.breaker.state_name())),
+                    ("forwarded".into(), Json::U64(w.forwarded.load(Relaxed))),
+                    ("peer_hits".into(), Json::U64(w.peer_hits.load(Relaxed))),
+                    ("peer_misses".into(), Json::U64(w.peer_misses.load(Relaxed))),
+                    ("failures".into(), Json::U64(w.failures.load(Relaxed))),
+                ])
+            })
+            .collect();
+        let cluster = Json::Obj(vec![
+            ("workers".into(), Json::Arr(workers)),
+            ("rehashes".into(), Json::U64(self.rehashes.load(Relaxed))),
+            (
+                "flights_coalesced".into(),
+                Json::U64(self.flights_coalesced.load(Relaxed)),
+            ),
+            (
+                "sweeps".into(),
+                Json::Obj(vec![
+                    ("count".into(), Json::U64(self.sweeps.load(Relaxed))),
+                    ("jobs".into(), Json::U64(self.sweep_jobs.load(Relaxed))),
+                ]),
+            ),
+            ("faults_fired".into(), Json::U64(self.faults.total_fired())),
+        ]);
+        // The federated view: every worker's registry scraped and merged
+        // under `worker` labels, rendered through the registry's own JSON
+        // exposition so the JSON and Prometheus formats stay in parity.
+        let fed = MetricRegistry::new();
+        let scrapes = self.federate(&fed);
+        let scrape_errors: u64 = self
+            .workers
+            .iter()
+            .map(|w| w.scrape_errors.load(Relaxed))
+            .sum();
+        let families = Json::parse(&fed.render_json())
+            .and_then(|v| v.get("families").cloned())
+            .unwrap_or(Json::Null);
+        let federation = Json::Obj(vec![
+            ("scrape_errors".into(), Json::U64(scrape_errors)),
+            ("workers".into(), Json::Arr(scrapes)),
+            ("families".into(), families),
+        ]);
+        let mut fields = vec![("cluster".into(), cluster)];
+        fields.extend(shared);
+        fields.push(("federation".into(), federation));
+        fields
     }
 }
 
 // ---- sweeps ---------------------------------------------------------------
 
 /// A merged cluster sweep: every record line in global submission order
-/// (no trailing newlines) plus the coordinator's summary.
-pub(crate) struct ClusterSweep {
-    pub lines: Vec<String>,
-    pub summary: ClusterSweepSummary,
+/// (no trailing newlines), whether it carries an error, and the
+/// coordinator's summary.
+pub struct ClusterSweep {
+    job: Arc<SweepJob>,
+    records: Vec<(String, bool)>,
+    summary: ClusterSweepSummary,
+}
+
+impl SweepRun for ClusterSweep {
+    /// Records in index order, all at once: the coordinator merges before
+    /// it emits, so an async job journals the merged stream only after
+    /// the whole cluster sweep resolved.
+    fn emit(&self, record: &mut RecordFn<'_>) -> Json {
+        for (i, (line, errored)) in self.records.iter().enumerate() {
+            record(i as u64, line, *errored);
+        }
+        self.summary.json(&self.job.key_hex)
+    }
 }
 
 /// The coordinator's sweep accounting — its own schema, one level above
 /// the worker summaries it aggregates (and like them, excluded from the
 /// stream's byte-identity guarantee).
-pub(crate) struct ClusterSweepSummary {
-    pub key_hex: String,
-    pub jobs_total: u64,
-    pub jobs_unique: u64,
-    pub duplicates: u64,
-    pub cache_hits: u64,
-    pub peer_cache_hits: u64,
-    pub executed: u64,
-    pub coalesced: u64,
-    pub failed: u64,
-    pub rehashes: u64,
-    pub wall_ms: u64,
+struct ClusterSweepSummary {
+    jobs_total: u64,
+    jobs_unique: u64,
+    duplicates: u64,
+    cache_hits: u64,
+    peer_cache_hits: u64,
+    executed: u64,
+    coalesced: u64,
+    failed: u64,
+    rehashes: u64,
+    wall_ms: u64,
 }
 
 impl ClusterSweepSummary {
-    fn json(&self) -> Json {
+    fn json(&self, key_hex: &str) -> Json {
         Json::Obj(vec![(
             "sweep".to_string(),
             Json::Obj(vec![
-                ("key".into(), Json::str(self.key_hex.clone())),
+                ("key".into(), Json::str(key_hex)),
                 ("jobs_total".into(), Json::U64(self.jobs_total)),
                 ("jobs_unique".into(), Json::U64(self.jobs_unique)),
                 ("duplicates".into(), Json::U64(self.duplicates)),
@@ -904,90 +907,19 @@ struct ShardOutcome {
 }
 
 impl Coordinator {
-    /// `POST /v1/sweeps`: parse and key every entry, then fan the unique
-    /// keys out shard-wise and merge the per-worker streams into one
-    /// deterministic stream (records sorted by global submission index,
-    /// then the coordinator summary).
-    fn sweeps(&self, req: &Request) -> Response {
-        let Some(body) = parse_body(req) else {
-            return fail(req, 400, "bad_request", "body must be a JSON object");
-        };
-        let entries = match sweep_entries(&body) {
-            Ok(entries) => entries,
-            Err(e) => return spec_fail(req, &e),
-        };
-        if entries.is_empty() {
-            return fail(req, 400, "bad_request", "sweep has no jobs");
-        }
-        if entries.len() > MAX_SWEEP_JOBS {
-            return fail(
-                req,
-                413,
-                "payload_too_large",
-                &format!(
-                    "sweep of {} jobs exceeds the {MAX_SWEEP_JOBS}-job cap",
-                    entries.len()
-                ),
-            );
-        }
-        if wants_async(req) {
-            return self.sweep_async(req, &entries);
-        }
-        let deadline = Deadline::from_request(req);
-        let outcome = match self.cluster_sweep(&entries, &req.request_id, deadline) {
-            Ok(outcome) => outcome,
-            Err(e) => return self.sweep_fail(req, &e),
-        };
-        self.sweeps.fetch_add(1, Ordering::Relaxed);
-        self.sweep_jobs
-            .fetch_add(outcome.summary.jobs_total, Ordering::Relaxed);
-        let sweep_hex = outcome.summary.key_hex.clone();
-        let stream = BodyStream::new(move |sink| {
-            for line in &outcome.lines {
-                sink.send(format!("{line}\n").as_bytes())?;
-            }
-            sink.send(format!("{}\n", outcome.summary.json().dump()).as_bytes())
-        });
-        Response::streaming(200, "application/x-ndjson", stream)
-            .with_header("X-Sweep-Key", &sweep_hex)
-    }
-
-    /// The envelope for a failed sweep: a deadline abort carries
-    /// `Retry-After` and counts toward the deadline metric; everything
-    /// else is the plain spec-error envelope.
-    fn sweep_fail(&self, req: &Request, e: &SpecError) -> Response {
-        if e.code == "deadline_exceeded" {
-            self.deadline_exceeded.fetch_add(1, Ordering::Relaxed);
-            return envelope(e.status, e.code, &e.message, Some(1), &req.request_id);
-        }
-        spec_fail(req, e)
-    }
-
-    /// The sweep core shared by `POST /v1/sweeps` and inline workflow
-    /// stages: dedup to unique keys, probe/execute per shard with
-    /// rehash-on-failure, and reassemble global records.
-    pub(crate) fn cluster_sweep(
+    /// The sweep core behind `POST /v1/sweeps`, async sweeps and inline
+    /// workflow stages: dedup to unique keys, probe/execute per shard with
+    /// rehash-on-failure, and reassemble global records (sorted by global
+    /// submission index). A spent deadline aborts the sweep with a 504
+    /// before any record exists.
+    fn cluster_sweep(
         &self,
-        entries: &[Json],
+        job: &Arc<SweepJob>,
         rid: &str,
         deadline: Deadline,
     ) -> Result<ClusterSweep, SpecError> {
         let start = Instant::now();
-        let mut owned = Vec::with_capacity(entries.len());
-        for (i, entry) in entries.iter().enumerate() {
-            match parse_job_spec(entry) {
-                Ok(job) => owned.push(job),
-                Err(e) => {
-                    return Err(SpecError {
-                        status: e.status,
-                        code: e.code,
-                        message: format!("jobs[{i}]: {}", e.message),
-                    })
-                }
-            }
-        }
-        let keys: Vec<RunKey> = owned.iter().map(|o| run_key(&o.spec())).collect();
-        let key_hex = sweep_key(&keys).hex();
+        let (keys, entries) = (&job.keys, &job.entries[..]);
 
         // In-batch dedup, mirroring the engine: the first occurrence of a
         // key leads (deduped=false), later occurrences follow. Duplicates
@@ -1025,15 +957,15 @@ impl Coordinator {
             // A spent deadline aborts the remaining shards: the caller
             // answers 504 instead of placing work nobody is waiting for.
             if deadline.expired() {
-                return Err(SpecError {
-                    status: 504,
-                    code: "deadline_exceeded",
-                    message: format!(
+                return Err(SpecError::new(
+                    504,
+                    "deadline_exceeded",
+                    format!(
                         "deadline budget exhausted with {} of {} unique jobs unresolved",
                         pending.len(),
                         unique.len()
                     ),
-                });
+                ));
             }
             // Assign every pending unique key to its owner under the
             // current mask. Owners exist for all keys or none.
@@ -1105,16 +1037,17 @@ impl Coordinator {
 
         let merge_ts = start.elapsed().as_micros() as f64;
         let merge_t0 = Instant::now();
-        let mut lines = vec![String::new(); keys.len()];
+        let mut records = vec![(String::new(), false); keys.len()];
         let mut failed = 0u64;
         for (u, (key, globals)) in unique.iter().enumerate() {
             let (status, payload) = resolved[u].as_ref().expect("every unique key resolves");
             let hex = key.hex();
-            if status == "error" {
+            let errored = status == "error";
+            if errored {
                 failed += globals.len() as u64;
             }
             for (j, &g) in globals.iter().enumerate() {
-                lines[g] = render_record(g, &hex, status, j > 0, payload);
+                records[g] = (render_record(g, &hex, status, j > 0, payload), errored);
             }
         }
         heteropipe_obs::profile::record(cprof::merge(), merge_t0.elapsed().as_nanos() as u64);
@@ -1128,16 +1061,16 @@ impl Coordinator {
         let jobs_total = keys.len() as u64;
         let jobs_unique = unique.len() as u64;
         self.stitch.insert(StitchPlan {
-            sweep_key: key_hex.clone(),
+            sweep_key: job.key_hex.clone(),
             request_id: rid.to_string(),
             jobs: jobs_total,
             spans,
             shards: stitch_shards,
         });
         Ok(ClusterSweep {
-            lines,
+            job: Arc::clone(job),
+            records,
             summary: ClusterSweepSummary {
-                key_hex,
                 jobs_total,
                 jobs_unique,
                 duplicates: jobs_total - jobs_unique,
@@ -1194,7 +1127,7 @@ impl Coordinator {
                         let hex = unique[u].0.hex();
                         let probe_ts = t0.elapsed().as_micros() as f64;
                         let probed = match deadline.remaining_ms() {
-                            Err(()) => Err(std::io::Error::new(
+                            Err(_) => Err(std::io::Error::new(
                                 std::io::ErrorKind::TimedOut,
                                 "deadline budget exhausted before peer probe",
                             )),
@@ -1260,7 +1193,7 @@ impl Coordinator {
         let body = format!("{{\"jobs\":[{}]}}", jobs.join(","));
         let fwd_ts = t0.elapsed().as_micros() as f64;
         let tc = trace_context(rid, "forward_sweep", fwd_ts as u64);
-        let budget = deadline.remaining_ms().map_err(|()| {
+        let budget = deadline.remaining_ms().map_err(|_| {
             std::io::Error::new(
                 std::io::ErrorKind::TimedOut,
                 "deadline budget exhausted before shard forward",
@@ -1347,949 +1280,6 @@ impl Coordinator {
         Ok(outcome)
     }
 
-    /// Dispatches `/v1/sweeps/{key}` sub-resources; only `/trace` exists.
-    fn sweep_resource(&self, req: &Request, rest: &str) -> Response {
-        let (key, sub) = match rest.split_once('/') {
-            Some((key, sub)) => (key, Some(sub)),
-            None => (rest, None),
-        };
-        if !valid_key(key) {
-            return fail(
-                req,
-                400,
-                "bad_request",
-                &format!("sweep key must be 32 hex characters, got {key:?}"),
-            );
-        }
-        match sub {
-            Some("trace") => {
-                if req.method != "GET" {
-                    return method_not_allowed(req, "GET");
-                }
-                self.sweep_trace(req, key)
-            }
-            Some("records") => {
-                if req.method != "GET" {
-                    return method_not_allowed(req, "GET");
-                }
-                self.sweep_records(req, key)
-            }
-            None => {
-                if req.method != "GET" {
-                    return method_not_allowed(req, "GET");
-                }
-                self.sweep_status(req, key)
-            }
-            _ => fail(
-                req,
-                404,
-                "not_found",
-                "no such sweep sub-resource (try /trace or /records)",
-            ),
-        }
-    }
-
-    /// `GET /v1/sweeps/{key}`: the status of an async cluster sweep —
-    /// from the live registry when this coordinator is (or was) driving
-    /// it, otherwise reconstructed from the on-disk journal.
-    fn sweep_status(&self, req: &Request, key: &str) -> Response {
-        let key = key.to_ascii_lowercase();
-        if let Some(job) = self.async_jobs.get(&key) {
-            return Response::json(200, &jobs::status_json(&key, &job))
-                .with_header("X-Sweep-Key", &key);
-        }
-        if let Some(journal) = self.journal.get() {
-            if let Ok(Some(replay)) = journal.replay(&key) {
-                if let Some(body) = api::journal_status_json(&key, "sweep", &replay) {
-                    return Response::json(200, &body).with_header("X-Sweep-Key", &key);
-                }
-            }
-        }
-        fail(
-            req,
-            404,
-            "not_found",
-            "no such async sweep (submit one with POST /v1/sweeps?async=1)",
-        )
-    }
-
-    /// `GET /v1/sweeps/{key}/records?from_index=N`: the journaled NDJSON
-    /// records of an async cluster sweep, index-ordered from
-    /// `from_index`, with no summary line — the same contract as the
-    /// single-node route (see `docs/api.md`).
-    fn sweep_records(&self, req: &Request, key: &str) -> Response {
-        let key = key.to_ascii_lowercase();
-        let from = match api::from_index(req) {
-            Ok(from) => from,
-            Err(why) => return fail(req, 400, "bad_request", &why),
-        };
-        let Some(journal) = self.journal.get() else {
-            return fail(
-                req,
-                404,
-                "not_found",
-                "this coordinator has no journal (async records live on durable coordinators)",
-            );
-        };
-        match journal.replay(&key) {
-            Ok(Some(replay)) => {
-                let mut records = replay.records;
-                records.sort_by_key(|&(i, _)| i);
-                let mut body = String::new();
-                for (index, line) in &records {
-                    if *index >= from {
-                        body.push_str(line);
-                        body.push('\n');
-                    }
-                }
-                Response {
-                    status: 200,
-                    headers: vec![("Content-Type".into(), "application/x-ndjson".into())],
-                    body: body.into_bytes(),
-                    chunked: false,
-                    stream: None,
-                }
-                .with_header("X-Sweep-Key", &key)
-                .with_header("X-Job-State", if replay.done { "done" } else { "pending" })
-            }
-            Ok(None) => fail(req, 404, "not_found", "no journaled records for that key"),
-            Err(e) => envelope(
-                503,
-                "journal_unavailable",
-                &format!("journal replay failed: {e}"),
-                Some(1),
-                &req.request_id,
-            ),
-        }
-    }
-
-    /// `GET /v1/sweeps/{key}/trace`: resolves the retained stitch plan
-    /// into one Chrome trace — coordinator spans plus each worker's
-    /// journaled sweep phases on its own process lane (see
-    /// `crate::stitch`). Worker traces are fetched lazily here, so the
-    /// sweep's hot path pays nothing for stitching.
-    fn sweep_trace(&self, req: &Request, key: &str) -> Response {
-        let rid = &req.request_id;
-        let deadline = Deadline::from_request(req);
-        let rendered = self.stitch.with(&key.to_ascii_lowercase(), |plan| {
-            stitch::render(plan, |shard| {
-                let wskey = shard.worker_sweep_key.as_deref()?;
-                // A spent budget degrades the stitch to coordinator-only
-                // lanes instead of chasing worker traces past it.
-                let budget = deadline.remaining_ms().ok()?;
-                let budget = budget.map(|ms| ms.to_string());
-                let path = format!("/v1/sweeps/{wskey}/trace");
-                let tc = trace_context(rid, "stitch_fetch", 0);
-                let mut headers = vec![("X-Request-Id", rid.as_str()), ("X-Trace-Context", &tc)];
-                if let Some(ms) = budget.as_deref() {
-                    headers.push(("X-Deadline-Ms", ms));
-                }
-                let resp = self
-                    .call_worker(shard.slot, Site::ClusterForward, |c| {
-                        c.get_with_headers(&path, &headers)
-                    })
-                    .ok()?;
-                if resp.status != 200 {
-                    return None;
-                }
-                String::from_utf8(resp.body).ok()
-            })
-        });
-        match rendered {
-            Some(json) => Response {
-                status: 200,
-                headers: vec![("Content-Type".into(), "application/json".into())],
-                body: json.into_bytes(),
-                chunked: false,
-                stream: None,
-            },
-            None => fail(
-                req,
-                404,
-                "not_found",
-                "no stitched trace retained for that sweep key",
-            ),
-        }
-    }
-}
-
-// ---- async jobs -----------------------------------------------------------
-
-impl Coordinator {
-    /// `POST /v1/sweeps?async=1`: journals the sweep's intent and answers
-    /// `202 Accepted` with the key to poll; a background thread fans the
-    /// batch out across the cluster and journals the merged records.
-    /// Resubmission while running (or after completion) is idempotent.
-    fn sweep_async(&self, req: &Request, entries: &[Json]) -> Response {
-        let Some(journal) = self.journal.get() else {
-            return envelope(
-                503,
-                "async_unavailable",
-                "async sweeps need a write-ahead journal; start the coordinator with one (coordinator --journal-dir)",
-                None,
-                &req.request_id,
-            );
-        };
-        let mut keys = Vec::with_capacity(entries.len());
-        for (i, entry) in entries.iter().enumerate() {
-            match parse_job_spec(entry) {
-                Ok(job) => keys.push(run_key(&job.spec())),
-                Err(e) => return fail(req, e.status, e.code, &format!("jobs[{i}]: {}", e.message)),
-            }
-        }
-        let sweep_hex = sweep_key(&keys).hex();
-        let total = entries.len() as u64;
-        // A sealed segment from an earlier run means the job is already
-        // complete: adopt it instead of re-executing.
-        let sealed = matches!(journal.replay(&sweep_hex), Ok(Some(r)) if r.done);
-        let state = if sealed {
-            JobState::Done
-        } else {
-            JobState::Running
-        };
-        let done = if sealed { total } else { 0 };
-        let (job, fresh) = self
-            .async_jobs
-            .register(&sweep_hex, "sweep", total, state, done);
-        if !fresh || sealed {
-            return Response::json(202, &jobs::status_json(&sweep_hex, &job))
-                .with_header("X-Sweep-Key", &sweep_hex);
-        }
-        // Write-ahead: the full expanded job list hits the journal before
-        // any shard is contacted, so a coordinator crash at any later
-        // point is resumable.
-        if let Err(e) = journal.begin(&sweep_hex, &jobs::sweep_intent(entries)) {
-            job.fail(format!("journal intent write failed: {e}"));
-            return envelope(
-                503,
-                "journal_unavailable",
-                &format!("could not journal sweep intent: {e}"),
-                Some(1),
-                &req.request_id,
-            );
-        }
-        self.spawn_sweep_driver(
-            job,
-            entries.to_vec(),
-            sweep_hex.clone(),
-            req.request_id.clone(),
-            HashSet::new(),
-            false,
-        );
-        Response::json(
-            202,
-            &jobs::accepted_json(
-                &sweep_hex,
-                "sweep",
-                &format!("/v1/sweeps/{sweep_hex}"),
-                total,
-            ),
-        )
-        .with_header("X-Sweep-Key", &sweep_hex)
-    }
-
-    /// Spawns the background thread driving an async cluster sweep.
-    /// `already` holds record indexes a previous process journaled
-    /// (resume skips re-appending them — worker caches make re-resolution
-    /// nearly free); `recovered` marks a crash-resume for the
-    /// `heteropipe_journal_recovered_total` counter.
-    fn spawn_sweep_driver(
-        &self,
-        job: Arc<AsyncJob>,
-        entries: Vec<Json>,
-        key_hex: String,
-        request_id: String,
-        already: HashSet<u64>,
-        recovered: bool,
-    ) {
-        let this = self
-            .self_ref
-            .get()
-            .cloned()
-            .expect("self reference set in new()");
-        std::thread::spawn(move || {
-            if let Some(c) = this.upgrade() {
-                c.drive_sweep(&job, &entries, &key_hex, &request_id, &already, recovered);
-            }
-        });
-    }
-
-    /// The background body of an async cluster sweep: resolve the batch
-    /// shard-wise, journal each merged record, then seal the segment. A
-    /// failed append is retried once after the batch; only records that
-    /// still cannot be journaled fail the job.
-    fn drive_sweep(
-        &self,
-        job: &Arc<AsyncJob>,
-        entries: &[Json],
-        key_hex: &str,
-        request_id: &str,
-        already: &HashSet<u64>,
-        recovered: bool,
-    ) {
-        let journal = self.journal.get().expect("driver spawned with journal");
-        let sweep = match self.cluster_sweep(entries, request_id, Deadline::none()) {
-            Ok(sweep) => sweep,
-            Err(e) => {
-                job.fail(format!("cluster sweep failed: {}", e.message));
-                return;
-            }
-        };
-        self.sweeps.fetch_add(1, Ordering::Relaxed);
-        self.sweep_jobs
-            .fetch_add(sweep.summary.jobs_total, Ordering::Relaxed);
-        let mut retry: Vec<(u64, &String, bool)> = Vec::new();
-        for (i, line) in sweep.lines.iter().enumerate() {
-            let index = i as u64;
-            if already.contains(&index) {
-                continue;
-            }
-            let errored = split_record(line).is_some_and(|(_, status, _)| status == "error");
-            match journal.append_record(key_hex, index, line) {
-                Ok(()) => job.record_done(errored),
-                Err(e) => {
-                    obs_log::warn(
-                        "cluster",
-                        "journal append failed; retrying after the batch",
-                        &[
-                            ("key", key_hex.to_string().into()),
-                            ("index", index.into()),
-                            ("error", e.to_string().into()),
-                        ],
-                    );
-                    retry.push((index, line, errored));
-                }
-            }
-        }
-        let mut lost = 0u64;
-        for (index, line, errored) in retry {
-            match journal.append_record(key_hex, index, line) {
-                Ok(()) => job.record_done(errored),
-                Err(e) => {
-                    lost += 1;
-                    obs_log::error(
-                        "cluster",
-                        "journal append failed permanently",
-                        &[
-                            ("key", key_hex.to_string().into()),
-                            ("index", index.into()),
-                            ("error", e.to_string().into()),
-                        ],
-                    );
-                }
-            }
-        }
-        if lost > 0 {
-            job.fail(format!("{lost} record(s) could not be journaled"));
-            return;
-        }
-        match journal.finish(key_hex, job.total) {
-            Ok(()) => {
-                if recovered {
-                    journal.mark_recovered();
-                }
-                job.set_state(JobState::Done);
-            }
-            Err(e) => job.fail(format!("journal seal failed: {e}")),
-        }
-    }
-
-    /// `POST /v1/workflows?async=1` (inline graphs): journals the body as
-    /// intent, answers 202, and drives the graph on a background thread —
-    /// one record per stage event plus a final record with the full
-    /// result. Named built-in graphs never reach here: they are proxied
-    /// whole (query included) to the owning worker's journal.
-    fn workflow_async(
-        &self,
-        req: &Request,
-        body: &Json,
-        graph: TaskGraph,
-        wkey: String,
-    ) -> Response {
-        let Some(journal) = self.journal.get() else {
-            return envelope(
-                503,
-                "async_unavailable",
-                "async workflows need a write-ahead journal; start the coordinator with one (coordinator --journal-dir)",
-                None,
-                &req.request_id,
-            );
-        };
-        let total = graph.len() as u64 + 1;
-        let sealed = matches!(journal.replay(&wkey), Ok(Some(r)) if r.done);
-        let state = if sealed {
-            JobState::Done
-        } else {
-            JobState::Running
-        };
-        let done = if sealed { total } else { 0 };
-        let (job, fresh) = self
-            .async_jobs
-            .register(&wkey, "workflow", total, state, done);
-        if !fresh || sealed {
-            return Response::json(202, &jobs::status_json(&wkey, &job))
-                .with_header("X-Workflow-Key", &wkey);
-        }
-        if let Err(e) = journal.begin(&wkey, &jobs::workflow_intent(body)) {
-            job.fail(format!("journal intent write failed: {e}"));
-            return envelope(
-                503,
-                "journal_unavailable",
-                &format!("could not journal workflow intent: {e}"),
-                Some(1),
-                &req.request_id,
-            );
-        }
-        self.spawn_workflow_driver(
-            job,
-            graph,
-            wkey.clone(),
-            req.request_id.clone(),
-            HashSet::new(),
-            false,
-        );
-        Response::json(
-            202,
-            &jobs::accepted_json(&wkey, "workflow", &format!("/v1/workflows/{wkey}"), total),
-        )
-        .with_header("X-Workflow-Key", &wkey)
-    }
-
-    /// Spawns the background thread driving an async inline workflow (see
-    /// [`Coordinator::spawn_sweep_driver`] for the `already`/`recovered`
-    /// contract).
-    fn spawn_workflow_driver(
-        &self,
-        job: Arc<AsyncJob>,
-        graph: TaskGraph,
-        key_hex: String,
-        request_id: String,
-        already: HashSet<u64>,
-        recovered: bool,
-    ) {
-        let this = self
-            .self_ref
-            .get()
-            .cloned()
-            .expect("self reference set in new()");
-        std::thread::spawn(move || {
-            if let Some(c) = this.upgrade() {
-                c.drive_workflow(&job, &graph, &key_hex, &request_id, &already, recovered);
-            }
-        });
-    }
-
-    /// The background body of an async inline workflow: run the graph
-    /// (stages fan sweeps out across the cluster), journaling one record
-    /// per stage event and a final record holding the full result JSON —
-    /// the shape `GET /v1/workflows/{key}` serves.
-    fn drive_workflow(
-        &self,
-        job: &Arc<AsyncJob>,
-        graph: &TaskGraph,
-        key_hex: &str,
-        request_id: &str,
-        already: &HashSet<u64>,
-        recovered: bool,
-    ) {
-        let journal = self.journal.get().expect("driver spawned with journal");
-        let rid = (!request_id.is_empty()).then_some(request_id);
-        let counter = AtomicU64::new(0);
-        let result = self.flow.run_observed(graph, rid, &|ev| {
-            let index = counter.fetch_add(1, Ordering::Relaxed);
-            if already.contains(&index) {
-                return;
-            }
-            let line = stage_event_json(ev).dump();
-            let errored = ev.error.is_some();
-            match journal.append_record(key_hex, index, &line) {
-                Ok(()) => job.record_done(errored),
-                Err(e) => obs_log::warn(
-                    "cluster",
-                    "journal append failed for workflow stage event",
-                    &[
-                        ("key", key_hex.to_string().into()),
-                        ("index", index.into()),
-                        ("error", e.to_string().into()),
-                    ],
-                ),
-            }
-        });
-        match result {
-            Ok(result) => {
-                let final_index = job.total.saturating_sub(1);
-                if !already.contains(&final_index) {
-                    let line = workflow_result_json(&result).dump();
-                    if let Err(e) = journal.append_record(key_hex, final_index, &line) {
-                        job.fail(format!("journal append failed for workflow result: {e}"));
-                        return;
-                    }
-                    job.record_done(false);
-                }
-                match journal.finish(key_hex, job.total) {
-                    Ok(()) => {
-                        if recovered {
-                            journal.mark_recovered();
-                        }
-                        job.set_state(JobState::Done);
-                    }
-                    Err(e) => job.fail(format!("journal seal failed: {e}")),
-                }
-            }
-            Err(e) => job.fail(format!("workflow failed: {e}")),
-        }
-    }
-
-    /// Replays the journal at startup: every segment with an intent but
-    /// no seal is re-registered and driven to completion on background
-    /// threads. Worker caches turn already-resolved jobs into peer hits,
-    /// so only the missing tail actually re-executes and the journaled
-    /// records end up identical to an uninterrupted run's.
-    pub fn resume_incomplete(&self) {
-        let Some(journal) = self.journal.get() else {
-            return;
-        };
-        for key in journal.incomplete() {
-            let Ok(Some(replay)) = journal.replay(&key) else {
-                continue;
-            };
-            let Some((kind, payload)) = jobs::parse_intent(&replay.intent) else {
-                obs_log::warn(
-                    "cluster",
-                    "journaled intent is unreadable; segment left unresumed",
-                    &[("key", key.clone().into())],
-                );
-                continue;
-            };
-            match kind.as_str() {
-                "sweep" => self.resume_sweep(&key, &payload, &replay),
-                "workflow" => self.resume_workflow(&key, &payload, &replay),
-                _ => {}
-            }
-        }
-    }
-
-    fn resume_sweep(&self, key: &str, payload: &Json, replay: &heteropipe_engine::Replay) {
-        let entries = payload.as_array().map(<[Json]>::to_vec).unwrap_or_default();
-        for (i, entry) in entries.iter().enumerate() {
-            if let Err(e) = parse_job_spec(entry) {
-                let (job, _) = self.async_jobs.register(
-                    key,
-                    "sweep",
-                    entries.len() as u64,
-                    JobState::Failed,
-                    0,
-                );
-                job.fail(format!(
-                    "journaled intent no longer parses: jobs[{i}]: {}",
-                    e.message
-                ));
-                return;
-            }
-        }
-        let already = replay.indexes();
-        let (job, fresh) = self.async_jobs.register(
-            key,
-            "sweep",
-            entries.len() as u64,
-            JobState::Running,
-            already.len() as u64,
-        );
-        if !fresh {
-            return;
-        }
-        obs_log::info(
-            "cluster",
-            "resuming interrupted async sweep from journal",
-            &[
-                ("key", key.to_string().into()),
-                ("jobs_total", (entries.len() as u64).into()),
-                ("records_journaled", (already.len() as u64).into()),
-            ],
-        );
-        self.spawn_sweep_driver(
-            job,
-            entries,
-            key.to_string(),
-            format!("resume-{key}"),
-            already,
-            true,
-        );
-    }
-
-    fn resume_workflow(&self, key: &str, payload: &Json, replay: &heteropipe_engine::Replay) {
-        let rid = format!("resume-{key}");
-        let graph = match self.cluster_graph(payload, &rid, Deadline::none()) {
-            Ok(graph) => graph,
-            Err(e) => {
-                let (job, _) = self
-                    .async_jobs
-                    .register(key, "workflow", 0, JobState::Failed, 0);
-                job.fail(format!("journaled intent no longer parses: {}", e.message));
-                return;
-            }
-        };
-        let total = graph.len() as u64 + 1;
-        let already = replay.indexes();
-        let (job, fresh) = self.async_jobs.register(
-            key,
-            "workflow",
-            total,
-            JobState::Running,
-            already.len() as u64,
-        );
-        if !fresh {
-            return;
-        }
-        obs_log::info(
-            "cluster",
-            "resuming interrupted async workflow from journal",
-            &[
-                ("key", key.to_string().into()),
-                ("records_journaled", (already.len() as u64).into()),
-            ],
-        );
-        self.spawn_workflow_driver(job, graph, key.to_string(), rid, already, true);
-    }
-}
-
-// ---- workflows ------------------------------------------------------------
-
-impl Coordinator {
-    /// `POST /v1/workflows`: built-in named graphs are proxied whole to
-    /// the worker owning the workflow key (the figure pipeline runs where
-    /// its cache lives); inline stage lists run at the coordinator with
-    /// each sweep stage fanned out shard-wise.
-    fn workflows(&self, req: &Request) -> Response {
-        let Some(body) = parse_body(req) else {
-            return fail(req, 400, "bad_request", "body must be a JSON object");
-        };
-        if body.get("workflow").is_some() {
-            // Validate locally first so a bad name is a clean envelope
-            // from the coordinator, not a proxied error.
-            let graph = match workflow_graph(&body) {
-                Ok(graph) => graph,
-                Err(e) => return spec_fail(req, &e),
-            };
-            let wkey = match graph.workflow_key() {
-                Ok(key) => key,
-                Err(e) => return fail(req, 400, "bad_request", &format!("invalid workflow: {e}")),
-            };
-            // Proxied verbatim, query included: `?async=1` journals on
-            // the owning worker, whose journal is where lookups for this
-            // key land anyway.
-            return self.proxy_workflow(req, wkey);
-        }
-        // An async graph runs in the background with no deadline (the 202
-        // returns immediately); a sync graph inherits the request budget,
-        // checked between DAG levels and forwarded with each stage sweep.
-        let deadline = if wants_async(req) {
-            Deadline::none()
-        } else {
-            Deadline::from_request(req)
-        };
-        let graph = match self.cluster_graph(&body, &req.request_id, deadline) {
-            Ok(graph) => graph,
-            Err(e) => return spec_fail(req, &e),
-        };
-        let wkey = match graph.workflow_key() {
-            Ok(key) => key.hex(),
-            Err(e) => return fail(req, 400, "bad_request", &format!("invalid workflow: {e}")),
-        };
-        if wants_async(req) {
-            return self.workflow_async(req, &body, graph, wkey);
-        }
-        let flow = Arc::clone(&self.flow);
-        let request_id = req.request_id.clone();
-        let stream = BodyStream::new(move |sink| {
-            let out = Mutex::new(sink);
-            let rid = (!request_id.is_empty()).then_some(request_id.as_str());
-            let result = flow.run_observed_deadline(
-                &graph,
-                rid,
-                &|ev| {
-                    let line = format!("{}\n", stage_event_json(ev).dump());
-                    let _ = out.lock().unwrap().send(line.as_bytes());
-                },
-                deadline.0,
-            );
-            let result = result.expect("graph validated before streaming");
-            let line = format!("{}\n", workflow_summary_json(&result).dump());
-            let sent = out.lock().unwrap().send(line.as_bytes());
-            sent
-        });
-        Response::streaming(200, "application/x-ndjson", stream)
-            .with_header("X-Workflow-Key", &wkey)
-    }
-
-    /// Proxies a whole built-in workflow request to the owner of its
-    /// workflow key, rehashing on failure.
-    fn proxy_workflow(&self, req: &Request, wkey: RunKey) -> Response {
-        let deadline = Deadline::from_request(req);
-        // Forward the query string too, so `?async=1` survives the hop.
-        let path = if req.query.is_empty() {
-            "/v1/workflows".to_string()
-        } else {
-            format!("/v1/workflows?{}", req.query)
-        };
-        let mut down = self.down_mask();
-        loop {
-            let Ok(budget) = deadline.remaining_ms() else {
-                return self.deadline_refusal(req);
-            };
-            let budget = budget.map(|ms| ms.to_string());
-            let Some(slot) = self.ring.owner(wkey, &down) else {
-                return no_workers(&req.request_id);
-            };
-            let tc = trace_context(&req.request_id, "workflow_forward", 0);
-            let mut headers = vec![
-                ("X-Request-Id", req.request_id.as_str()),
-                ("X-Trace-Context", tc.as_str()),
-            ];
-            if let Some(ms) = budget.as_deref() {
-                headers.push(("X-Deadline-Ms", ms));
-            }
-            let result = self.call_worker(slot, Site::ClusterForward, |c| {
-                c.post_raw_with_headers(&path, req.body.clone(), &headers)
-            });
-            match result {
-                Ok(resp) => {
-                    let mut out = Response {
-                        status: resp.status,
-                        headers: vec![("Content-Type".into(), "application/x-ndjson".into())],
-                        body: resp.body.clone(),
-                        chunked: true,
-                        stream: None,
-                    };
-                    if resp.status != 200 {
-                        return passthrough(&resp);
-                    }
-                    if let Some(v) = resp.header("x-workflow-key") {
-                        out = out.with_header("X-Workflow-Key", v);
-                    }
-                    return out;
-                }
-                Err(_) => {
-                    down[slot] = true;
-                    self.rehashes.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-        }
-    }
-
-    /// Builds the inline-workflow graph with cluster-sweep stage bodies.
-    /// Stage keys derive from the same `jobs=<sweep key>` input string as
-    /// the single-node inline graph, so workflow keys (and journal
-    /// lookups) agree across deployment shapes.
-    fn cluster_graph(
-        &self,
-        body: &Json,
-        rid: &str,
-        deadline: Deadline,
-    ) -> Result<TaskGraph, SpecError> {
-        let Some(stages) = body.get("stages") else {
-            return Err(SpecError {
-                status: 400,
-                code: "bad_request",
-                message:
-                    "body needs \"workflow\" (built-in name) or \"stages\" (array of stage objects)"
-                        .to_string(),
-            });
-        };
-        let Some(stages) = stages.as_array() else {
-            return Err(bad_spec("\"stages\" must be an array"));
-        };
-        if stages.is_empty() {
-            return Err(bad_spec("workflow has no stages"));
-        }
-        if stages.len() > MAX_WORKFLOW_STAGES {
-            return Err(SpecError {
-                status: 413,
-                code: "payload_too_large",
-                message: format!(
-                    "workflow of {} stages exceeds the {MAX_WORKFLOW_STAGES}-stage cap",
-                    stages.len()
-                ),
-            });
-        }
-        let mut graph = TaskGraph::new("inline");
-        let mut total_jobs = 0usize;
-        for (i, stage) in stages.iter().enumerate() {
-            let Json::Obj(_) = stage else {
-                return Err(bad_spec(format!("stages[{i}] must be an object")));
-            };
-            let built = self
-                .cluster_stage(stage, &mut total_jobs, rid, deadline)
-                .map_err(|e| SpecError {
-                    status: e.status,
-                    code: e.code,
-                    message: format!("stages[{i}]: {}", e.message),
-                })?;
-            let name = built.name().to_owned();
-            graph.add(built);
-            graph.output(name);
-        }
-        Ok(graph)
-    }
-
-    /// One inline stage whose body runs a cluster sweep instead of a
-    /// local engine sweep. The stage value is the merged records, one
-    /// line per job in submission order — the same text a single-node
-    /// inline stage produces.
-    fn cluster_stage(
-        &self,
-        stage: &Json,
-        total_jobs: &mut usize,
-        rid: &str,
-        deadline: Deadline,
-    ) -> Result<Stage, SpecError> {
-        let Some(name) = stage.get("name").and_then(Json::as_str) else {
-            return Err(bad_spec("missing field: name"));
-        };
-        let deps: Vec<String> = match stage.get("deps") {
-            None | Some(Json::Null) => Vec::new(),
-            Some(Json::Arr(items)) => {
-                let mut deps = Vec::with_capacity(items.len());
-                for d in items {
-                    match d.as_str() {
-                        Some(s) => deps.push(s.to_owned()),
-                        None => return Err(bad_spec("\"deps\" entries must be stage names")),
-                    }
-                }
-                deps
-            }
-            Some(_) => return Err(bad_spec("\"deps\" must be an array of stage names")),
-        };
-        let entries = sweep_entries(stage)?;
-        if entries.is_empty() {
-            return Err(bad_spec("stage sweep has no jobs"));
-        }
-        *total_jobs += entries.len();
-        if *total_jobs > MAX_SWEEP_JOBS {
-            return Err(SpecError {
-                status: 413,
-                code: "payload_too_large",
-                message: format!("workflow exceeds the {MAX_SWEEP_JOBS}-job cap across its stages"),
-            });
-        }
-        let mut keys = Vec::with_capacity(entries.len());
-        for (j, entry) in entries.iter().enumerate() {
-            match parse_job_spec(entry) {
-                Ok(job) => keys.push(run_key(&job.spec())),
-                Err(e) => {
-                    return Err(SpecError {
-                        status: e.status,
-                        code: e.code,
-                        message: format!("jobs[{j}]: {}", e.message),
-                    })
-                }
-            }
-        }
-        let sweep_hex = sweep_key(&keys).hex();
-        let coordinator = self
-            .self_ref
-            .get()
-            .cloned()
-            .expect("self reference set in new()");
-        let rid = rid.to_owned();
-        let mut built = Stage::new(name, StageKind::Sweep, move |_ctx| {
-            let Some(coordinator) = coordinator.upgrade() else {
-                return Err("coordinator shut down".to_string());
-            };
-            let sweep = coordinator
-                .cluster_sweep(&entries, &rid, deadline)
-                .map_err(|e| e.message)?;
-            if sweep.summary.failed > 0 {
-                return Err(format!(
-                    "{} of {} sweep jobs failed",
-                    sweep.summary.failed, sweep.summary.jobs_total
-                ));
-            }
-            let mut text = String::new();
-            for line in &sweep.lines {
-                text.push_str(line);
-                text.push('\n');
-            }
-            Ok(StageValue::from_text(text))
-        })
-        .input(format!("jobs={sweep_hex}"));
-        for d in deps {
-            built = built.dep(d);
-        }
-        Ok(built)
-    }
-
-    /// `GET /v1/workflows/{key}`: inline graphs journal at the
-    /// coordinator; built-in graphs journal on the worker that ran them —
-    /// check locally first, then ask the key's owner.
-    fn workflow_lookup(&self, req: &Request, key: &str) -> Response {
-        if !valid_key(key) {
-            return fail(
-                req,
-                400,
-                "bad_request",
-                &format!("workflow key must be 32 hex characters, got {key:?}"),
-            );
-        }
-        let lower = key.to_ascii_lowercase();
-        if let Some(result) = self.flow.journaled(&lower) {
-            return Response::json(200, &workflow_result_json(&result))
-                .with_header("X-Workflow-Key", &result.key_hex)
-                .into_chunked();
-        }
-        // An async inline workflow this coordinator is (or was) driving
-        // answers its live status...
-        if let Some(job) = self.async_jobs.get(&lower) {
-            if job.state() != JobState::Done {
-                return Response::json(200, &jobs::status_json(&lower, &job))
-                    .with_header("X-Workflow-Key", &lower);
-            }
-        }
-        // ...and a sealed segment from a previous coordinator process
-        // answers from disk: its final record is the full result JSON.
-        if let Some(journal) = self.journal.get() {
-            if let Ok(Some(replay)) = journal.replay(&lower) {
-                if replay.done {
-                    if let Some(result) = replay
-                        .records
-                        .iter()
-                        .max_by_key(|&&(i, _)| i)
-                        .and_then(|(_, line)| Json::parse(line))
-                        .filter(|v| v.get("workflow").is_some())
-                    {
-                        return Response::json(200, &result)
-                            .with_header("X-Workflow-Key", &lower)
-                            .into_chunked();
-                    }
-                }
-                if let Some(body) = api::journal_status_json(&lower, "workflow", &replay) {
-                    return Response::json(200, &body).with_header("X-Workflow-Key", &lower);
-                }
-            }
-        }
-        let parsed = RunKey::from_hex(&lower).expect("validated above");
-        self.proxy_to_owner(req, parsed, &format!("/v1/workflows/{lower}"))
-    }
-}
-
-fn bad_spec(message: impl Into<String>) -> SpecError {
-    SpecError {
-        status: 400,
-        code: "bad_request",
-        message: message.into(),
-    }
-}
-
-// ---- metrics --------------------------------------------------------------
-
-impl Coordinator {
-    fn metrics(&self, req: &Request) -> Response {
-        if wants_prometheus(req) {
-            return self.metrics_prometheus();
-        }
-        self.metrics_json()
-    }
-
     /// Metrics federation: scrapes every worker's Prometheus exposition
     /// over the client pool and merges each into `r` under a `worker`
     /// label, so one coordinator scrape sees the whole cluster. Scrapes
@@ -2345,318 +1335,6 @@ impl Coordinator {
                 Json::Obj(fields)
             })
             .collect()
-    }
-
-    fn metrics_json(&self) -> Response {
-        use std::sync::atomic::Ordering::Relaxed;
-        let workers: Vec<Json> = self
-            .workers
-            .iter()
-            .enumerate()
-            .map(|(slot, w)| {
-                Json::Obj(vec![
-                    ("slot".into(), Json::U64(slot as u64)),
-                    ("addr".into(), Json::str(w.addr.clone())),
-                    ("breaker".into(), Json::str(w.breaker.state_name())),
-                    ("forwarded".into(), Json::U64(w.forwarded.load(Relaxed))),
-                    ("peer_hits".into(), Json::U64(w.peer_hits.load(Relaxed))),
-                    ("peer_misses".into(), Json::U64(w.peer_misses.load(Relaxed))),
-                    ("failures".into(), Json::U64(w.failures.load(Relaxed))),
-                ])
-            })
-            .collect();
-        let cluster = Json::Obj(vec![
-            ("workers".into(), Json::Arr(workers)),
-            ("rehashes".into(), Json::U64(self.rehashes.load(Relaxed))),
-            (
-                "flights_coalesced".into(),
-                Json::U64(self.flights_coalesced.load(Relaxed)),
-            ),
-            (
-                "sweeps".into(),
-                Json::Obj(vec![
-                    ("count".into(), Json::U64(self.sweeps.load(Relaxed))),
-                    ("jobs".into(), Json::U64(self.sweep_jobs.load(Relaxed))),
-                ]),
-            ),
-            ("faults_fired".into(), Json::U64(self.faults.total_fired())),
-        ]);
-        let journal = match self.journal.get() {
-            Some(j) => {
-                let s = j.stats();
-                Json::Obj(vec![
-                    ("appended".into(), Json::U64(s.appended)),
-                    ("replayed".into(), Json::U64(s.replayed)),
-                    ("recovered".into(), Json::U64(s.recovered)),
-                    ("tmp_swept".into(), Json::U64(s.tmp_swept)),
-                    (
-                        "segments_quarantined".into(),
-                        Json::U64(s.segments_quarantined),
-                    ),
-                    ("torn_truncated".into(), Json::U64(s.torn_truncated)),
-                    ("gc_swept".into(), Json::U64(s.gc_swept)),
-                    ("async_jobs".into(), Json::U64(self.async_jobs.len() as u64)),
-                ])
-            }
-            None => Json::Null,
-        };
-        let tenants = match self.tenants.get() {
-            Some(gate) => Json::Arr(
-                gate.counts()
-                    .into_iter()
-                    .map(|c| {
-                        Json::Obj(vec![
-                            ("tenant".into(), Json::str(c.tenant)),
-                            ("requests".into(), Json::U64(c.requests)),
-                            ("throttled".into(), Json::U64(c.throttled)),
-                        ])
-                    })
-                    .collect(),
-            ),
-            None => Json::Arr(Vec::new()),
-        };
-        let server = match self.stats.get() {
-            Some(s) => {
-                let lat = s.latency_us.lock().unwrap();
-                Json::Obj(vec![
-                    ("requests".into(), Json::U64(s.requests.load(Relaxed))),
-                    ("in_flight".into(), Json::U64(s.in_flight.load(Relaxed))),
-                    ("rejected_503".into(), Json::U64(s.rejected.load(Relaxed))),
-                    ("shed_503".into(), Json::U64(s.shed.load(Relaxed))),
-                    (
-                        "responses".into(),
-                        Json::Obj(vec![
-                            ("2xx".into(), Json::U64(s.status_2xx.load(Relaxed))),
-                            ("4xx".into(), Json::U64(s.status_4xx.load(Relaxed))),
-                            ("5xx".into(), Json::U64(s.status_5xx.load(Relaxed))),
-                        ]),
-                    ),
-                    (
-                        "latency_us".into(),
-                        Json::Obj(vec![
-                            ("count".into(), Json::U64(lat.count())),
-                            ("p50".into(), Json::U64(lat.percentile(0.50))),
-                            ("p99".into(), Json::U64(lat.percentile(0.99))),
-                        ]),
-                    ),
-                ])
-            }
-            None => Json::Null,
-        };
-        // The federated view: every worker's registry scraped and merged
-        // under `worker` labels, rendered through the registry's own JSON
-        // exposition so the JSON and Prometheus formats stay in parity.
-        let fed = MetricRegistry::new();
-        let scrapes = self.federate(&fed);
-        let scrape_errors: u64 = self
-            .workers
-            .iter()
-            .map(|w| w.scrape_errors.load(Relaxed))
-            .sum();
-        let families = Json::parse(&fed.render_json())
-            .and_then(|v| v.get("families").cloned())
-            .unwrap_or(Json::Null);
-        let federation = Json::Obj(vec![
-            ("scrape_errors".into(), Json::U64(scrape_errors)),
-            ("workers".into(), Json::Arr(scrapes)),
-            ("families".into(), families),
-        ]);
-        Response::json(
-            200,
-            &Json::Obj(vec![
-                ("cluster".into(), cluster),
-                ("journal".into(), journal),
-                ("tenants".into(), tenants),
-                (
-                    "deadline_exceeded".into(),
-                    Json::U64(self.deadline_exceeded.load(Relaxed)),
-                ),
-                ("server".into(), server),
-                ("federation".into(), federation),
-            ]),
-        )
-        .into_chunked()
-    }
-
-    fn metrics_prometheus(&self) -> Response {
-        use std::sync::atomic::Ordering::Relaxed;
-        let r = MetricRegistry::new();
-        // Federate first so this scrape's failures are visible in the
-        // scrape-error counters emitted below.
-        self.federate(&r);
-        for w in &self.workers {
-            let labels: &[(&str, &str)] = &[("worker", w.addr.as_str())];
-            r.counter_with(
-                "heteropipe_cluster_forwarded_total",
-                "Coordinator calls answered by this worker (probes and forwards).",
-                labels,
-            )
-            .set(w.forwarded.load(Relaxed));
-            r.counter_with(
-                "heteropipe_cluster_peer_cache_hits_total",
-                "Peer-cache probes answered from this worker's disk cache.",
-                labels,
-            )
-            .set(w.peer_hits.load(Relaxed));
-            r.counter_with(
-                "heteropipe_cluster_peer_cache_misses_total",
-                "Peer-cache probes this worker answered with a miss.",
-                labels,
-            )
-            .set(w.peer_misses.load(Relaxed));
-            r.counter_with(
-                "heteropipe_cluster_worker_failures_total",
-                "Coordinator calls to this worker that failed in transport.",
-                labels,
-            )
-            .set(w.failures.load(Relaxed));
-            r.counter_with(
-                "heteropipe_cluster_scrape_errors_total",
-                "Federated metrics scrapes of this worker that failed.",
-                labels,
-            )
-            .set(w.scrape_errors.load(Relaxed));
-            r.gauge_with(
-                "heteropipe_cluster_worker_healthy",
-                "Whether this worker's breaker admits traffic (1 = healthy).",
-                labels,
-            )
-            .set(f64::from(u8::from(!w.breaker.currently_open())));
-            r.histogram_with(
-                "heteropipe_cluster_forward_latency_microseconds",
-                "Coordinator-observed latency of calls to this worker.",
-                labels,
-            )
-            .merge(&w.fwd_us.snapshot());
-        }
-        let set = |name: &str, help: &str, v: u64| r.counter(name, help).set(v);
-        set(
-            "heteropipe_cluster_rehashes_total",
-            "Key placements moved off an unreachable worker.",
-            self.rehashes.load(Relaxed),
-        );
-        set(
-            "heteropipe_cluster_flights_coalesced_total",
-            "Requests coalesced onto a concurrent identical run flight.",
-            self.flights_coalesced.load(Relaxed),
-        );
-        set(
-            "heteropipe_cluster_sweeps_total",
-            "Sweeps merged through the coordinator.",
-            self.sweeps.load(Relaxed),
-        );
-        set(
-            "heteropipe_cluster_sweep_jobs_total",
-            "Entries submitted across all coordinator sweeps.",
-            self.sweep_jobs.load(Relaxed),
-        );
-        // Same names and help text as the single-node server's families,
-        // so worker-side counters arriving via federation merge into the
-        // identical family instead of being skipped.
-        if let Some(j) = self.journal.get() {
-            let s = j.stats();
-            set(
-                "heteropipe_journal_appended_total",
-                "Lines appended to the write-ahead journal (intent, record, and seal lines).",
-                s.appended,
-            );
-            set(
-                "heteropipe_journal_replayed_total",
-                "Record lines read back by journal replay.",
-                s.replayed,
-            );
-            set(
-                "heteropipe_journal_recovered_total",
-                "Interrupted async jobs resumed to completion after a restart.",
-                s.recovered,
-            );
-            set(
-                "heteropipe_journal_segments_quarantined_total",
-                "Corrupt journal segments moved to quarantine.",
-                s.segments_quarantined,
-            );
-            set(
-                "heteropipe_journal_gc_total",
-                "Expired sealed journal segments deleted by startup GC.",
-                s.gc_swept,
-            );
-        }
-        set(
-            "heteropipe_deadline_exceeded_total",
-            "Requests refused because their X-Deadline-Ms budget was exhausted.",
-            self.deadline_exceeded.load(Relaxed),
-        );
-        if let Some(gate) = self.tenants.get() {
-            for c in gate.counts() {
-                let labels: &[(&str, &str)] = &[("tenant", c.tenant.as_str())];
-                r.counter_with(
-                    "heteropipe_tenant_requests_total",
-                    "Requests admitted per tenant bucket.",
-                    labels,
-                )
-                .set(c.requests);
-                r.counter_with(
-                    "heteropipe_tenant_throttled_total",
-                    "Requests refused with a 429 per tenant bucket.",
-                    labels,
-                )
-                .set(c.throttled);
-            }
-        }
-        for c in self.faults.counts() {
-            r.counter_with(
-                "heteropipe_faults_injected_total",
-                "Faults fired by the deterministic injector.",
-                &[("site", c.site), ("kind", c.kind)],
-            )
-            .set(c.fired);
-        }
-        if let Some(s) = self.stats.get() {
-            set(
-                "heteropipe_server_requests_total",
-                "Requests fully parsed and dispatched to the handler.",
-                s.requests.load(Relaxed),
-            );
-            for (class, v) in [
-                ("2xx", s.status_2xx.load(Relaxed)),
-                ("4xx", s.status_4xx.load(Relaxed)),
-                ("5xx", s.status_5xx.load(Relaxed)),
-            ] {
-                r.counter_with(
-                    "heteropipe_server_responses_total",
-                    "Responses sent, by status class.",
-                    &[("class", class)],
-                )
-                .set(v);
-            }
-        }
-        // The coordinator's own profiled phases (cluster.peer_probe /
-        // cluster.forward / cluster.merge); worker phases arrive via
-        // federation under their `worker` labels.
-        for p in heteropipe_obs::profile::snapshot() {
-            r.counter_with(
-                "heteropipe_profile_phase_total_nanoseconds",
-                "Wall nanoseconds attributed to a profiled phase.",
-                &[("phase", p.name)],
-            )
-            .set(p.total_ns);
-            r.histogram_with(
-                "heteropipe_profile_phase_duration_nanoseconds",
-                "Per-call wall-time distribution of a profiled phase.",
-                &[("phase", p.name)],
-            )
-            .merge(&p.histogram);
-        }
-        Response {
-            status: 200,
-            headers: vec![(
-                "Content-Type".into(),
-                "text/plain; version=0.0.4; charset=utf-8".into(),
-            )],
-            body: r.render_prometheus().into_bytes(),
-            chunked: false,
-            stream: None,
-        }
     }
 }
 

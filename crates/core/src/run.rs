@@ -30,11 +30,11 @@ use crate::organize::{lower, Organization, Server, Task, TaskBody, TaskGraph};
 use crate::report::{ComponentTimes, ExclusiveSlice, RunReport};
 use crate::trace::TaskSpan;
 
-/// Profiler slot for the event-loop's next-completion pop, registered
+/// Profiler slot for the run loop's next-completion scan, registered
 /// once per process (wall-clock attribution only; never affects results).
-fn event_pop_phase() -> heteropipe_obs::profile::PhaseId {
+fn next_completion_phase() -> heteropipe_obs::profile::PhaseId {
     static P: std::sync::OnceLock<heteropipe_obs::profile::PhaseId> = std::sync::OnceLock::new();
-    *P.get_or_init(|| heteropipe_obs::profile::phase("sim.event_pop"))
+    *P.get_or_init(|| heteropipe_obs::profile::phase("sim.next_completion"))
 }
 
 /// Executes `pipeline` on `config` under `org` and reports everything the
@@ -299,13 +299,14 @@ impl<'a> Runner<'a> {
                     }
                 }
             }
-            // Advance to the next completion. The pop is profiled (this is
-            // the event-queue cost ROADMAP's calendar-queue item targets);
-            // the profiler only accumulates wall-time counters, so results
-            // stay deterministic.
-            let (t, flow) =
-                heteropipe_obs::profile::time(event_pop_phase(), || self.net.next_completion())
-                    .expect("deadlock: tasks pending but nothing running");
+            // Advance to the next completion: a scan over the (at most
+            // three) running flows. It is profiled; the profiler only
+            // accumulates wall-time counters, so results stay
+            // deterministic.
+            let (t, flow) = heteropipe_obs::profile::time(next_completion_phase(), || {
+                self.net.next_completion()
+            })
+            .expect("deadlock: tasks pending but nothing running");
             self.net.retire(t, flow);
             now = t;
             let s = (0..3)

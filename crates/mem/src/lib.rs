@@ -33,7 +33,6 @@ pub mod alloc;
 pub mod cache;
 pub mod dram;
 pub mod hierarchy;
-pub mod mshr;
 pub mod page;
 pub mod pcie;
 pub mod xbar;

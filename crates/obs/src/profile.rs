@@ -1,7 +1,8 @@
 //! Always-on hot-path phase profiler.
 //!
-//! Attributes wall time to a small fixed set of named phases (event-queue
-//! pop, cache probe, decode, execute, persist, splice, ...) with nothing
+//! Attributes wall time to a small fixed set of named phases (the run
+//! loop's next-completion scan, cache probe, decode, execute, persist,
+//! splice, ...) with nothing
 //! but atomic adds on the hot path: no allocation, no locks, no
 //! formatting. Phase slots live in static arrays; registering a phase
 //! (cold, once per call site via `OnceLock`) hands back a [`PhaseId`]

@@ -4,6 +4,11 @@
 //! whole-experiment renders. The full route reference, error envelope
 //! schema, and deprecation policy live in `docs/api.md`.
 //!
+//! [`Api`] is the single-node [`Backend`] of the request core in
+//! [`crate::front`], which routes, admits and journals for it: this
+//! module answers what a node answers from its own engine, plus the
+//! request and record codecs both front doors share.
+//!
 //! Responses are built from [`crate::json::Json`] values whose object keys
 //! are emitted in insertion order, and [`heteropipe::RunReport`] is
 //! float-free, so a `POST /v1/runs` answered from the cache is
@@ -23,29 +28,26 @@
 //! remain as deprecated aliases answering identically to their canonical
 //! forms, plus a `Deprecation` header.
 
-use std::collections::{HashMap, HashSet};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::collections::HashMap;
+use std::sync::{Arc, Mutex};
 
 use heteropipe::experiments::{characterize_all_with, fig3, fig456, fig78, fig9, tables};
 use heteropipe::{AccessClass, Executor, JobSpec, Organization, Platform, RunReport, SystemConfig};
-use heteropipe_engine::{run_key, sweep_key, Engine, EngineError, Journal, RunKey, SweepRecord};
+use heteropipe_engine::{run_key, Engine, EngineError, Journal, RunKey, SweepRecord};
 use heteropipe_faults::Injector;
-use heteropipe_flow::{
-    figures, FlowRunner, Stage, StageEvent, StageKind, StageValue, TaskGraph, WorkflowResult,
-};
-use heteropipe_obs::log as obs_log;
+use heteropipe_flow::{FlowRunner, StageEvent, TaskGraph, WorkflowResult};
 use heteropipe_obs::MetricRegistry;
 use heteropipe_workloads::{registry, Pipeline, Scale, Workload};
 
 use crate::breaker::CircuitBreaker;
 use crate::error::envelope;
-use crate::http::{BodyStream, Request, Response};
-use crate::jobs::{self, AsyncJob, AsyncJobs, JobState};
+use crate::front::{
+    self, fail, Backend, Core, Deadline, Door, Readiness, RecordFn, SweepJob, SweepRun,
+};
+use crate::http::{Request, Response};
 use crate::json::Json;
-use crate::server::{Handler, ServerConfig, ServerStats};
-use crate::server::{Server, ServerHandle};
-use crate::tenant::{Admit, TenantGate};
+use crate::server::{Handler, ServerConfig, ServerHandle, ServerStats};
+use crate::tenant::TenantGate;
 
 /// Most entries accepted in one `POST /v1/sweeps` batch; larger sweeps
 /// are rejected with `413 payload_too_large` so a single request cannot
@@ -63,40 +65,26 @@ pub const MAX_WORKFLOW_STAGES: usize = 32;
 /// the same underlying [`Engine`].
 pub struct Api {
     engine: Arc<Engine>,
-    flow: Arc<FlowRunner>,
-    stats: OnceLock<Arc<ServerStats>>,
-    breaker: OnceLock<Arc<CircuitBreaker>>,
-    server_faults: OnceLock<Arc<Injector>>,
-    journal: OnceLock<Arc<Journal>>,
-    async_jobs: AsyncJobs,
-    tenants: OnceLock<Arc<TenantGate>>,
-    deadline_exceeded: AtomicU64,
+    core: Core<Api>,
     /// Rendered report-JSON bodies keyed by run key. The key is a content
     /// address and `report_json` is deterministic, so a memoized body is
     /// immutable; warm `GET /v1/runs/{key}` serves it without touching
-    /// the record codec at all (see [`Api::run_report`]).
+    /// the record codec at all (see [`Backend::run_report`]).
     report_bodies: Mutex<HashMap<u128, Arc<Vec<u8>>>>,
 }
 
-/// Most rendered report bodies [`Api::run_report`] memoizes before the
-/// map is cleared wholesale (reports are a few KiB each, so this bounds
-/// the memo near 100 MiB worst case).
+/// Most rendered report bodies the warm `GET /v1/runs/{key}` path
+/// memoizes before the map is cleared wholesale (reports are a few KiB
+/// each, so this bounds the memo near 100 MiB worst case).
 const MAX_MEMOIZED_BODIES: usize = 8192;
 
 impl Api {
     /// An API over `engine`.
     pub fn new(engine: Arc<Engine>) -> Arc<Api> {
         let flow = Arc::new(FlowRunner::new(Arc::clone(&engine)));
-        Arc::new(Api {
+        Arc::new_cyclic(|me| Api {
             engine,
-            flow,
-            stats: OnceLock::new(),
-            breaker: OnceLock::new(),
-            server_faults: OnceLock::new(),
-            journal: OnceLock::new(),
-            async_jobs: AsyncJobs::new(),
-            tenants: OnceLock::new(),
-            deadline_exceeded: AtomicU64::new(0),
+            core: Core::new(me.clone(), flow),
             report_bodies: Mutex::new(HashMap::new()),
         })
     }
@@ -108,43 +96,49 @@ impl Api {
 
     /// The workflow runner behind `POST /v1/workflows`.
     pub fn flow(&self) -> &Arc<FlowRunner> {
-        &self.flow
+        self.core.flow()
     }
 
     /// Wires in the server's own counters so `/metrics` can report them.
     /// Called by [`serve`]; later calls are ignored.
     pub fn attach_stats(&self, stats: Arc<ServerStats>) {
-        let _ = self.stats.set(stats);
+        self.core.attach_stats(stats);
     }
 
     /// Wires in the server's circuit breaker so `/healthz/ready` and
     /// `/metrics` can report it. Called by [`serve`]; later calls ignored.
     pub fn attach_breaker(&self, breaker: Arc<CircuitBreaker>) {
-        let _ = self.breaker.set(breaker);
+        self.core.attach_breaker(breaker);
     }
 
     /// Wires in the server's fault injector so `/metrics` can export its
     /// fired-fault tallies. Called by [`serve`]; later calls ignored.
     pub fn attach_faults(&self, faults: Arc<Injector>) {
-        let _ = self.server_faults.set(faults);
+        self.core.attach_faults(faults);
     }
 
     /// Wires in the write-ahead journal enabling `?async=1` submission
     /// and crash-resume. Called by [`serve_durable`]; later calls ignored.
     pub fn attach_journal(&self, journal: Arc<Journal>) {
-        let _ = self.journal.set(journal);
+        self.core.attach_journal(journal);
     }
 
     /// Wires in the per-tenant admission gate. [`serve`] builds it from
     /// `HETEROPIPE_TENANTS`; tests attach a hand-parsed gate directly.
     /// Later calls ignored.
     pub fn attach_tenants(&self, tenants: Arc<TenantGate>) {
-        let _ = self.tenants.set(tenants);
+        self.core.attach_tenants(tenants);
     }
 
     /// The write-ahead journal, when one is attached.
     pub fn journal(&self) -> Option<&Arc<Journal>> {
-        self.journal.get()
+        self.core.journal()
+    }
+
+    /// Resumes, on background threads, every async job the attached
+    /// journal shows as interrupted (intent logged, segment unsealed).
+    pub fn resume_incomplete(&self) {
+        front::resume_incomplete(self);
     }
 }
 
@@ -152,329 +146,81 @@ impl Api {
 /// admission gate is read from `HETEROPIPE_TENANTS`; a malformed plan
 /// fails startup rather than admitting everyone silently.
 pub fn serve(cfg: ServerConfig, engine: Arc<Engine>) -> std::io::Result<ServerHandle> {
-    serve_inner(cfg, engine, None)
+    front::start(cfg, Api::new(engine), None)
 }
 
 /// Like [`serve`], but with a write-ahead journal: `?async=1` submission
 /// is enabled, and any sweep or workflow the journal shows as interrupted
 /// (intent logged, segment unsealed) is resumed on background threads
-/// before the listener accepts traffic. Thanks to the result cache,
-/// resume re-executes only the jobs whose records never made it to the
-/// journal.
+/// once the listener runs. Thanks to the result cache, resume re-executes
+/// only the jobs whose records never made it to the journal.
 pub fn serve_durable(
     cfg: ServerConfig,
     engine: Arc<Engine>,
     journal: Arc<Journal>,
 ) -> std::io::Result<ServerHandle> {
-    serve_inner(cfg, engine, Some(journal))
-}
-
-fn serve_inner(
-    cfg: ServerConfig,
-    engine: Arc<Engine>,
-    journal: Option<Arc<Journal>>,
-) -> std::io::Result<ServerHandle> {
-    let api = Api::new(engine);
-    api.attach_faults(Arc::clone(&cfg.faults));
-    let tenants = TenantGate::from_env()
-        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidInput, e))?;
-    api.attach_tenants(Arc::new(tenants));
-    if let Some(journal) = journal {
-        api.attach_journal(journal);
-    }
-    let server = Server::bind(cfg, api.clone())?;
-    api.attach_stats(server.stats());
-    api.attach_breaker(server.breaker());
-    let handle = server.start();
-    api.resume_incomplete();
-    Ok(handle)
+    front::start(cfg, Api::new(engine), Some(journal))
 }
 
 impl Handler for Api {
     fn handle(&self, req: &Request) -> Response {
-        if let Some(refused) = self.admission(req) {
-            return refused;
-        }
-        match (req.method.as_str(), req.path.as_str()) {
-            ("GET", "/healthz" | "/healthz/live") => health(),
-            ("GET", "/healthz/ready") => self.ready(req),
-            ("GET", "/metrics") => self.metrics(req),
-            ("GET", "/v1/benchmarks") => benchmarks(),
-            ("GET", "/v1/debug/profile") => profile_snapshot(),
-            ("POST", "/v1/runs") => self.run(req),
-            // Deprecated alias for `POST /v1/runs` (see docs/api.md).
-            ("POST", "/v1/run") => deprecated(self.run(req), "/v1/runs"),
-            ("POST", "/v1/sweeps") => self.sweeps(req),
-            ("POST", "/v1/workflows") => self.workflows(req),
-            (_, path) if path.starts_with("/v1/workflows/") => {
-                let key = &path["/v1/workflows/".len()..];
-                if req.method == "GET" {
-                    self.workflow_lookup(req, key)
-                } else {
-                    method_not_allowed(req, "GET")
-                }
-            }
-            (_, path) if path.starts_with("/v1/runs/") => {
-                self.run_resource(req, &path["/v1/runs/".len()..], false)
-            }
-            // A sweep's retained trace lives under the sweep key the
-            // `X-Sweep-Key` response header reported; workers and the
-            // cluster coordinator expose the same shape.
-            (_, path) if path.starts_with("/v1/sweeps/") => {
-                self.sweep_resource(req, &path["/v1/sweeps/".len()..])
-            }
-            // Deprecated alias prefix for `/v1/runs/{key}/trace`.
-            (_, path) if path.starts_with("/v1/run/") => {
-                self.run_resource(req, &path["/v1/run/".len()..], true)
-            }
-            ("GET", "/v1/experiments") => experiments(),
-            ("GET", path) if path.starts_with("/v1/experiments/") => {
-                experiment_lookup(req, &path["/v1/experiments/".len()..])
-            }
-            ("POST", path) if path.starts_with("/v1/experiments/") => {
-                self.experiment(req, &path["/v1/experiments/".len()..])
-            }
-            (
-                _,
-                "/healthz" | "/healthz/live" | "/healthz/ready" | "/metrics" | "/v1/benchmarks",
-            ) => method_not_allowed(req, "GET"),
-            (_, "/v1/runs" | "/v1/run" | "/v1/sweeps" | "/v1/workflows") => {
-                method_not_allowed(req, "POST")
-            }
-            (_, "/v1/experiments") => method_not_allowed(req, "GET"),
-            (_, path) if path.starts_with("/v1/experiments/") => {
-                method_not_allowed(req, "GET, POST")
-            }
-            _ => fail(req, 404, "not_found", "no such route"),
-        }
+        front::handle(self, req)
     }
 }
 
-impl Api {
-    /// The front-door admission check every route but the operator
-    /// surfaces (health probes, metric scrapes) passes through: the
-    /// per-tenant token bucket first, then the `X-Deadline-Ms` budget.
-    /// `None` means admitted.
-    fn admission(&self, req: &Request) -> Option<Response> {
-        if matches!(
-            req.path.as_str(),
-            "/healthz" | "/healthz/live" | "/healthz/ready" | "/metrics"
-        ) {
-            return None;
-        }
-        if let Some(gate) = self.tenants.get() {
-            if let Admit::Throttled {
-                tenant,
-                retry_after_s,
-            } = gate.admit(req.header("x-api-key"))
-            {
-                return Some(envelope(
-                    429,
-                    "tenant_throttled",
-                    &format!("tenant {tenant:?} is over its request budget"),
-                    Some(retry_after_s),
-                    &req.request_id,
-                ));
-            }
-        }
-        match deadline_ms(req) {
-            Err(why) => Some(fail(req, 400, "bad_request", &why)),
-            Ok(Some(0)) => Some(self.deadline_refusal(req)),
-            Ok(_) => None,
-        }
-    }
+/// A sweep accepted by a node: it executes when its records are emitted,
+/// through the engine's dedup + single-flight sweep pipeline, in
+/// completion order.
+pub struct LocalSweep {
+    engine: Arc<Engine>,
+    job: Arc<SweepJob>,
+    request_id: Option<String>,
+}
 
-    /// The 504 envelope for a request whose deadline budget is already
-    /// spent, counted for `/metrics`.
-    fn deadline_refusal(&self, req: &Request) -> Response {
-        self.deadline_exceeded.fetch_add(1, Ordering::Relaxed);
-        envelope(
-            504,
-            "deadline_exceeded",
-            "deadline budget exhausted before execution",
-            Some(1),
-            &req.request_id,
-        )
+impl SweepRun for LocalSweep {
+    fn emit(&self, record: &mut RecordFn<'_>) -> Json {
+        let specs: Vec<JobSpec<'_>> = self.job.specs.iter().map(OwnedJobSpec::spec).collect();
+        let rid = self.request_id.as_deref();
+        // The engine calls back from its worker threads.
+        let record = Mutex::new(record);
+        let outcome = self.engine.execute_sweep_observed(&specs, rid, &|rec| {
+            let line = sweep_record_json(rec).dump();
+            (*record.lock().unwrap())(rec.index as u64, &line, rec.result.is_err());
+        });
+        sweep_summary_json(&outcome)
     }
 }
 
-/// Parses the `X-Deadline-Ms` header: the caller's remaining time budget
-/// in milliseconds, decremented hop by hop across the cluster. Absent
-/// means no deadline; a non-integer value is a 400-shaped error.
-pub fn deadline_ms(req: &Request) -> Result<Option<u64>, String> {
-    match req.header("x-deadline-ms") {
-        None => Ok(None),
-        Some(v) => v.trim().parse::<u64>().map(Some).map_err(|_| {
-            format!("X-Deadline-Ms must be a non-negative integer of milliseconds, got {v:?}")
-        }),
+impl Backend for Api {
+    const DOOR: Door = Door {
+        noun: "server",
+        bin: "serve",
+        log: "serve",
+    };
+    type Sweep = LocalSweep;
+
+    fn core(&self) -> &Core<Api> {
+        &self.core
     }
-}
 
-/// Whether the request asked for asynchronous (journaled) execution:
-/// `?async=1` or `?async=true`.
-pub fn wants_async(req: &Request) -> bool {
-    req.query
-        .split('&')
-        .any(|kv| kv == "async=1" || kv == "async=true")
-}
-
-/// Parses the `?from_index=N` resume cursor of a `/records` fetch.
-pub fn from_index(req: &Request) -> Result<u64, String> {
-    match req
-        .query
-        .split('&')
-        .find_map(|kv| kv.strip_prefix("from_index="))
-    {
-        None => Ok(0),
-        Some(v) => v
-            .parse::<u64>()
-            .map_err(|_| format!("from_index must be a non-negative integer, got {v:?}")),
-    }
-}
-
-/// The error envelope with the request's correlation id (see
-/// [`crate::error::envelope`]).
-fn fail(req: &Request, status: u16, code: &str, message: &str) -> Response {
-    envelope(status, code, message, None, &req.request_id)
-}
-
-/// A 405 envelope carrying the route's `Allow` header.
-fn method_not_allowed(req: &Request, allow: &str) -> Response {
-    fail(req, 405, "method_not_allowed", "method not allowed").with_header("Allow", allow)
-}
-
-/// Marks a response as served by a deprecated route alias: RFC 9745's
-/// `Deprecation` header plus a `Link` to the canonical successor. The
-/// payload is untouched, so aliases answer byte-identically to their
-/// canonical routes.
-fn deprecated(resp: Response, successor: &str) -> Response {
-    resp.with_header("Deprecation", "true")
-        .with_header("Link", &format!("<{successor}>; rel=\"successor-version\""))
-}
-
-/// Liveness: the process is up and serving — always 200. `/healthz` keeps
-/// answering this for compatibility; `/healthz/live` is the explicit form.
-fn health() -> Response {
-    Response::json(200, &Json::Obj(vec![("status".into(), Json::str("ok"))]))
-}
-
-impl Api {
-    /// Readiness: whether this instance should receive traffic. Unready
-    /// (503 + `Retry-After`) while the circuit breaker is open or graceful
-    /// shutdown has begun; liveness stays green either way, so an
-    /// orchestrator drains traffic instead of killing the process. The
-    /// unready body is the standard error envelope extended with the
-    /// probe fields (`status`, `breaker`, `shutting_down`).
-    fn ready(&self, req: &Request) -> Response {
-        let breaker_open = self.breaker.get().is_some_and(|b| b.currently_open());
-        let shutting_down = self
-            .stats
-            .get()
-            .is_some_and(|s| s.shutting_down.load(Ordering::SeqCst));
-        let state = self.breaker.get().map_or("unknown", |b| b.state_name());
-        let probe = vec![
-            (
-                "status".to_string(),
-                Json::str(if breaker_open || shutting_down {
-                    "unready"
-                } else {
-                    "ready"
-                }),
-            ),
-            ("breaker".to_string(), Json::str(state)),
-            ("shutting_down".to_string(), Json::Bool(shutting_down)),
-        ];
-        if breaker_open || shutting_down {
-            let retry = self.breaker.get().map_or(1, |b| b.retry_after_secs());
-            let mut fields = vec![
-                (
-                    "error".to_string(),
-                    Json::Obj(vec![
-                        ("code".into(), Json::str("unready")),
-                        (
-                            "message".into(),
-                            Json::str(if shutting_down {
-                                "shutting down"
-                            } else {
-                                "circuit breaker open"
-                            }),
-                        ),
-                        ("retry_after_s".into(), Json::U64(retry)),
-                    ]),
-                ),
-                ("request_id".to_string(), Json::str(&req.request_id)),
-            ];
-            fields.extend(probe);
-            Response::json(503, &Json::Obj(fields)).with_header("Retry-After", &retry.to_string())
-        } else {
-            Response::json(200, &Json::Obj(probe))
-        }
-    }
-}
-
-/// Splits the remainder of a `/v1/runs/{key}[/sub]` path into the key
-/// segment and the optional sub-resource after it.
-fn split_resource(rest: &str) -> (&str, Option<&str>) {
-    match rest.split_once('/') {
-        Some((key, sub)) => (key, Some(sub)),
-        None => (rest, None),
-    }
-}
-
-/// Whether a path segment is a well-formed run key: exactly 32 hex
-/// digits. Anything else — wrong length, non-hex characters, embedded
-/// slashes (already split off by [`split_resource`]) — is rejected up
-/// front with a 400 envelope instead of falling through to a generic 404.
-fn valid_run_key(key: &str) -> bool {
-    key.len() == 32 && key.bytes().all(|b| b.is_ascii_hexdigit())
-}
-
-impl Api {
-    /// Dispatches `/v1/runs/{key}` and its sub-resources (`/trace`), plus
-    /// the deprecated `/v1/run/{key}/trace` alias when `alias` is set.
-    fn run_resource(&self, req: &Request, rest: &str, alias: bool) -> Response {
-        let (key, sub) = split_resource(rest);
-        if !valid_run_key(key) {
-            return fail(
-                req,
-                400,
-                "bad_request",
-                &format!("run key must be 32 hex characters, got {key:?}"),
-            );
-        }
-        match (sub, alias) {
-            (Some("trace"), _) => {
-                if req.method != "GET" {
-                    return method_not_allowed(req, "GET");
-                }
-                let resp = self.run_trace(req, key);
-                if alias {
-                    deprecated(resp, &format!("/v1/runs/{key}/trace"))
-                } else {
-                    resp
-                }
-            }
-            // The cached-report lookup is new with the redesign; it never
-            // existed under `/v1/run/{key}`, so the alias stays a 404 with
-            // a pointer at the canonical route.
-            (None, true) => fail(
-                req,
-                404,
-                "not_found",
-                &format!("no such route (the cached report lives at /v1/runs/{key})"),
-            ),
-            (None, false) => {
-                if req.method != "GET" {
-                    return method_not_allowed(req, "GET");
-                }
-                self.run_report(req, key)
-            }
-            (Some(other), _) => fail(
-                req,
-                404,
-                "not_found",
-                &format!("no such run sub-resource: {other:?} (try /trace)"),
-            ),
+    fn run(&self, req: &Request, job: &OwnedJobSpec) -> Response {
+        let spec = job.spec();
+        let key = run_key(&spec).hex();
+        let request_id = (!req.request_id.is_empty()).then_some(req.request_id.as_str());
+        match self.engine.try_execute_observed(&spec, request_id) {
+            Ok(report) => Response::json(200, &report_json(&report)).with_header("X-Run-Key", &key),
+            // A quarantined job will stay broken until an operator looks
+            // at it: 503 + Retry-After tells well-behaved clients to back
+            // off rather than hammer a poisoned key.
+            Err(e @ EngineError::Quarantined { .. }) => envelope(
+                503,
+                "quarantined",
+                &e.to_string(),
+                Some(30),
+                &req.request_id,
+            )
+            .with_header("X-Run-Key", &key),
+            Err(e) => fail(req, 500, "internal", &e.to_string()).with_header("X-Run-Key", &key),
         }
     }
 
@@ -490,7 +236,7 @@ impl Api {
     /// an empty `304 Not Modified`. Only the first `GET` after a cold
     /// start pays the record decode.
     fn run_report(&self, req: &Request, key: &str) -> Response {
-        let parsed = RunKey::from_hex(key).expect("validated by run_resource");
+        let parsed = RunKey::from_hex(key).expect("validated by the router");
         let hex = parsed.hex();
         if self.engine.cached_bytes(parsed).is_none() {
             return fail(req, 404, "not_found", "no cached report for that run key");
@@ -534,217 +280,108 @@ impl Api {
         .with_header("ETag", &etag)
     }
 
-    /// Dispatches `/v1/sweeps/{key}` and its sub-resources: the bare key
-    /// answers an async job's status, `/records` streams its journaled
-    /// NDJSON records, and `/trace` the engine's retained Chrome trace
-    /// (under the sweep key the `X-Sweep-Key` response header reported).
-    fn sweep_resource(&self, req: &Request, rest: &str) -> Response {
-        let (key, sub) = split_resource(rest);
-        if !valid_run_key(key) {
-            return fail(
-                req,
-                400,
-                "bad_request",
-                &format!("sweep key must be 32 hex characters, got {key:?}"),
-            );
-        }
-        match sub {
-            Some("trace") => {
-                if req.method != "GET" {
-                    return method_not_allowed(req, "GET");
-                }
-                self.run_trace(req, key)
-            }
-            Some("records") => {
-                if req.method != "GET" {
-                    return method_not_allowed(req, "GET");
-                }
-                self.sweep_records(req, key)
-            }
-            None => {
-                if req.method != "GET" {
-                    return method_not_allowed(req, "GET");
-                }
-                self.sweep_status(req, key)
-            }
-            _ => fail(
-                req,
-                404,
-                "not_found",
-                "no such sweep sub-resource (try /trace or /records)",
-            ),
+    /// The Chrome-trace timeline the engine retained for a run (or sweep)
+    /// key.
+    fn run_trace(&self, req: &Request, key: &str) -> Response {
+        match self.engine.traces().render(&key.to_ascii_lowercase()) {
+            Some(json) => Response {
+                status: 200,
+                headers: vec![("Content-Type".into(), "application/json".into())],
+                body: json.into_bytes(),
+                chunked: false,
+                stream: None,
+            },
+            None => fail(req, 404, "not_found", "no trace retained for that run key"),
         }
     }
 
-    /// `GET /v1/sweeps/{key}`: the status of an async sweep — from this
-    /// process's registry when it is (or was) driving the job, otherwise
-    /// reconstructed from the on-disk journal so a restarted process
-    /// still answers for jobs it has not resumed.
-    fn sweep_status(&self, req: &Request, key: &str) -> Response {
-        let key = key.to_ascii_lowercase();
-        if let Some(job) = self.async_jobs.get(&key) {
-            return Response::json(200, &jobs::status_json(&key, &job))
-                .with_header("X-Sweep-Key", &key);
-        }
-        if let Some(journal) = self.journal.get() {
-            if let Ok(Some(replay)) = journal.replay(&key) {
-                if let Some(body) = journal_status_json(&key, "sweep", &replay) {
-                    return Response::json(200, &body).with_header("X-Sweep-Key", &key);
-                }
-            }
-        }
-        fail(
-            req,
-            404,
-            "not_found",
-            "no such async sweep (submit one with POST /v1/sweeps?async=1)",
-        )
+    fn sweep_trace(&self, req: &Request, key: &str) -> Response {
+        self.run_trace(req, key)
     }
 
-    /// `GET /v1/sweeps/{key}/records?from_index=N`: the journaled NDJSON
-    /// records of an async sweep, in index order (ascending), starting at
-    /// `from_index` so a poller can resume a partial read. A snapshot of
-    /// what is journaled right now — poll the status route for `done`
-    /// before treating the stream as complete. No trailing summary line:
-    /// records are timing-free and byte-stable; the summary is not.
-    fn sweep_records(&self, req: &Request, key: &str) -> Response {
-        let key = key.to_ascii_lowercase();
-        let from = match from_index(req) {
-            Ok(from) => from,
-            Err(why) => return fail(req, 400, "bad_request", &why),
-        };
-        let Some(journal) = self.journal.get() else {
-            return fail(
-                req,
-                404,
-                "not_found",
-                "this server has no journal (async records live on durable servers)",
-            );
-        };
-        match journal.replay(&key) {
-            Ok(Some(replay)) => {
-                let mut records = replay.records;
-                records.sort_by_key(|&(i, _)| i);
-                let mut body = String::new();
-                for (index, line) in &records {
-                    if *index >= from {
-                        body.push_str(line);
-                        body.push('\n');
-                    }
-                }
-                Response {
-                    status: 200,
-                    headers: vec![("Content-Type".into(), "application/x-ndjson".into())],
-                    body: body.into_bytes(),
-                    chunked: false,
-                    stream: None,
-                }
-                .with_header("X-Sweep-Key", &key)
-                .with_header("X-Job-State", if replay.done { "done" } else { "pending" })
-            }
-            Ok(None) => fail(req, 404, "not_found", "no journaled records for that key"),
-            Err(e) => envelope(
-                503,
-                "journal_unavailable",
-                &format!("journal replay failed: {e}"),
-                Some(1),
-                &req.request_id,
-            ),
-        }
-    }
-}
-
-/// A status body reconstructed from a journal segment alone, for keys no
-/// live registry entry covers (a previous process journaled them). `None`
-/// when the segment's intent is unreadable or of a different kind.
-pub fn journal_status_json(
-    key: &str,
-    kind: &str,
-    replay: &heteropipe_engine::Replay,
-) -> Option<Json> {
-    let (ikind, payload) = jobs::parse_intent(&replay.intent)?;
-    if ikind != kind {
-        return None;
-    }
-    let total = match kind {
-        "sweep" => payload.as_array()?.len() as u64,
-        // Workflow totals are stage events + the trailing result record;
-        // without running the graph we only know what is journaled.
-        _ => replay.records.len() as u64,
-    };
-    let state = if replay.done { "done" } else { "pending" };
-    let failed = replay
-        .records
-        .iter()
-        .filter(|(_, line)| {
-            Json::parse(line)
-                .and_then(|v| v.get("status").and_then(Json::as_str).map(|s| s == "error"))
-                .unwrap_or(false)
+    /// Sweeps execute in [`LocalSweep::emit`], as their records stream;
+    /// the deadline is checked at admission only.
+    fn sweep(&self, job: &Arc<SweepJob>, rid: &str, _: Deadline) -> Result<LocalSweep, SpecError> {
+        Ok(LocalSweep {
+            engine: Arc::clone(&self.engine),
+            job: Arc::clone(job),
+            request_id: (!rid.is_empty()).then(|| rid.to_owned()),
         })
-        .count() as u64;
-    let mut fields = vec![
-        ("key".to_string(), Json::str(key)),
-        ("kind".to_string(), Json::str(kind)),
-        ("state".to_string(), Json::str(state)),
-        ("jobs_total".to_string(), Json::U64(total)),
-        (
-            "records_done".to_string(),
-            Json::U64(replay.records.len() as u64),
-        ),
-        ("records_failed".to_string(), Json::U64(failed)),
-    ];
-    if kind == "sweep" {
-        fields.push((
-            "records_url".to_string(),
-            Json::str(format!("/v1/sweeps/{key}/records")),
-        ));
     }
-    Some(Json::Obj(fields))
-}
 
-/// `GET /v1/debug/profile`: a JSON snapshot of the always-on phase
-/// profiler, heaviest phase first (see docs/observability.md). The
-/// cluster coordinator serves the same route from its own process.
-pub fn profile_snapshot() -> Response {
-    Response {
-        status: 200,
-        headers: vec![("Content-Type".into(), "application/json".into())],
-        body: heteropipe_obs::profile::render_debug_json().into_bytes(),
-        chunked: false,
-        stream: None,
+    fn experiment(&self, req: &Request, name: &str) -> Response {
+        let body = parse_body(req).unwrap_or(Json::Obj(Vec::new()));
+        let scale = match parse_scale(&body) {
+            Ok(scale) => scale,
+            Err(why) => return fail(req, 400, "bad_request", why),
+        };
+        let exec: &dyn Executor = &*self.engine;
+
+        let rendered = match name {
+            "fig3" => fig3::render(&fig3::compute_with(exec, scale)),
+            "fig4" => fig456::render_fig4(&fig4_rows(exec, scale)),
+            "fig5" => fig456::render_fig5(&fig456::fig5(&characterize_all_with(exec, scale))),
+            "fig6" => {
+                let pairs = characterize_all_with(exec, scale);
+                fig456::render_fig6_with_effects(&fig456::fig6(&pairs), &pairs)
+            }
+            "fig7" => fig78::render_fig7(&fig78::fig7(&characterize_all_with(exec, scale))),
+            "fig8" => fig78::render_fig8(&fig78::fig8(&characterize_all_with(exec, scale))),
+            "fig9" => fig9::render(&fig9::fig9(&characterize_all_with(exec, scale))),
+            "table1" => tables::render_table1(),
+            "table2" => tables::render_table2(),
+            _ => {
+                return fail(
+                    req,
+                    404,
+                    "not_found",
+                    &format!("unknown experiment: {name} (fig3..fig9, table1, table2)"),
+                )
+            }
+        };
+
+        Response::json(
+            200,
+            &Json::Obj(vec![
+                ("experiment".into(), Json::str(name)),
+                ("scale".into(), Json::F64(scale.factor())),
+                ("rendered".into(), Json::str(rendered)),
+            ]),
+        )
+        .into_chunked()
     }
-}
 
-/// Whether a `/metrics` request asked for Prometheus text format instead
-/// of the JSON default: `?format=prometheus` wins, `?format=json` forces
-/// JSON, otherwise an `Accept` header preferring `text/plain` (or an
-/// OpenMetrics type) selects Prometheus.
-pub fn wants_prometheus(req: &Request) -> bool {
-    for kv in req.query.split('&') {
-        match kv {
-            "format=prometheus" => return true,
-            "format=json" => return false,
-            _ => {}
+    /// Built-in figure graphs run here, through this node's engine.
+    fn named_workflow(&self, req: &Request, body: Json, graph: TaskGraph, key: RunKey) -> Response {
+        front::run_workflow(self, req, body, graph, key)
+    }
+
+    fn workflow_elsewhere(&self, req: &Request, _key: &str) -> Response {
+        fail(req, 404, "not_found", "no journaled workflow for that key")
+    }
+
+    /// Unready while the circuit breaker is open.
+    fn readiness(&self) -> Readiness {
+        let breaker = self.core.breaker();
+        Readiness {
+            fields: vec![(
+                "breaker".to_string(),
+                Json::str(breaker.map_or("unknown", |b| b.state_name())),
+            )],
+            unready: breaker
+                .is_some_and(|b| b.currently_open())
+                .then_some("circuit breaker open"),
+            retry_after_s: breaker.map_or(1, |b| b.retry_after_secs()),
         }
     }
-    req.header("accept").is_some_and(|a| {
-        let a = a.to_ascii_lowercase();
-        a.contains("text/plain") || a.contains("openmetrics")
-    })
-}
 
-impl Api {
-    fn metrics(&self, req: &Request) -> Response {
-        if wants_prometheus(req) {
-            return self.metrics_prometheus();
-        }
-        self.metrics_json()
+    fn faults(&self) -> &Injector {
+        self.engine.faults()
     }
 
-    /// Prometheus text exposition of the same counters `/metrics` reports
-    /// as JSON, built fresh per scrape from the engine and server state.
-    fn metrics_prometheus(&self) -> Response {
-        let r = MetricRegistry::new();
+    /// The engine's cache, sweep and resilience counters and the workflow
+    /// runner's.
+    fn prometheus(&self, r: &MetricRegistry) {
         let e = self.engine.metrics();
         let set = |name: &str, help: &str, v: u64| r.counter(name, help).set(v);
         set(
@@ -808,7 +445,7 @@ impl Api {
 
         // Workflow counters (docs/workflows.md): graphs executed through
         // the DAG runner and their per-stage memoization activity.
-        let f = self.flow.metrics();
+        let f = self.core.flow().metrics();
         set(
             "heteropipe_workflows_total",
             "Workflows executed through the DAG runner.",
@@ -872,183 +509,11 @@ impl Api {
             "Cache persists abandoned after the retry budget.",
             e.cache.persist_failures,
         );
-
-        // Durability counters (docs/robustness.md): write-ahead journal
-        // activity plus the admission layer's refusals.
-        if let Some(j) = self.journal.get() {
-            let js = j.stats();
-            set(
-                "heteropipe_journal_appended_total",
-                "Lines appended to the write-ahead journal (intent, record, and seal lines).",
-                js.appended,
-            );
-            set(
-                "heteropipe_journal_replayed_total",
-                "Record lines read back by journal replay.",
-                js.replayed,
-            );
-            set(
-                "heteropipe_journal_recovered_total",
-                "Interrupted async jobs resumed to completion after a restart.",
-                js.recovered,
-            );
-            set(
-                "heteropipe_journal_segments_quarantined_total",
-                "Corrupt journal segments moved to quarantine.",
-                js.segments_quarantined,
-            );
-            set(
-                "heteropipe_journal_gc_total",
-                "Expired sealed journal segments deleted by startup GC.",
-                js.gc_swept,
-            );
-        }
-        set(
-            "heteropipe_deadline_exceeded_total",
-            "Requests refused because their X-Deadline-Ms budget was exhausted.",
-            self.deadline_exceeded.load(Ordering::Relaxed),
-        );
-        if let Some(gate) = self.tenants.get() {
-            for t in gate.counts() {
-                r.counter_with(
-                    "heteropipe_tenant_requests_total",
-                    "Requests admitted per tenant bucket.",
-                    &[("tenant", &t.tenant)],
-                )
-                .set(t.requests);
-                r.counter_with(
-                    "heteropipe_tenant_throttled_total",
-                    "Requests refused with a 429 per tenant bucket.",
-                    &[("tenant", &t.tenant)],
-                )
-                .set(t.throttled);
-            }
-        }
-
-        // Injected-fault tallies per (site, kind), from the engine's
-        // injector plus the server's (skipped when they are one shared
-        // injector, as a chaos run configures).
-        let mut fault_counts = self.engine.faults().counts();
-        if let Some(sf) = self.server_faults.get() {
-            if !std::ptr::eq(self.engine.faults(), Arc::as_ptr(sf)) {
-                fault_counts.extend(sf.counts());
-            }
-        }
-        for c in fault_counts {
-            r.counter_with(
-                "heteropipe_faults_injected_total",
-                "Faults fired by the deterministic injector.",
-                &[("site", c.site), ("kind", c.kind)],
-            )
-            .set(c.fired);
-        }
-
-        if let Some(b) = self.breaker.get() {
-            r.gauge(
-                "heteropipe_server_breaker_open",
-                "Whether the circuit breaker is open right now (1 = open).",
-            )
-            .set(f64::from(u8::from(b.currently_open())));
-            set(
-                "heteropipe_server_breaker_opened_total",
-                "Times the circuit breaker tripped open.",
-                b.opened_total(),
-            );
-            set(
-                "heteropipe_server_breaker_shed_total",
-                "Requests shed with a 503 while the breaker was open.",
-                b.shed_total(),
-            );
-        }
-
-        if let Some(s) = self.stats.get() {
-            use std::sync::atomic::Ordering::Relaxed;
-            set(
-                "heteropipe_server_requests_total",
-                "Requests fully parsed and dispatched to the handler.",
-                s.requests.load(Relaxed),
-            );
-            set(
-                "heteropipe_server_rejected_total",
-                "Connections refused with a 503 by the admission check.",
-                s.rejected.load(Relaxed),
-            );
-            set(
-                "heteropipe_server_shed_total",
-                "Requests shed with a 503 by the circuit breaker.",
-                s.shed.load(Relaxed),
-            );
-            r.gauge(
-                "heteropipe_server_in_flight",
-                "Requests currently inside the handler.",
-            )
-            .set(s.in_flight.load(Relaxed) as f64);
-            for (class, v) in [
-                ("2xx", s.status_2xx.load(Relaxed)),
-                ("4xx", s.status_4xx.load(Relaxed)),
-                ("5xx", s.status_5xx.load(Relaxed)),
-            ] {
-                r.counter_with(
-                    "heteropipe_server_responses_total",
-                    "Responses sent, by status class.",
-                    &[("class", class)],
-                )
-                .set(v);
-            }
-            r.histogram(
-                "heteropipe_server_request_latency_microseconds",
-                "Handler latency distribution.",
-            )
-            .merge(&s.latency_us.lock().unwrap());
-        }
-
-        // Always-on phase profiler (docs/observability.md): wall time
-        // attributed to named hot-path phases in the sim event loop, the
-        // engine execute path, and the workflow runner.
-        for p in heteropipe_obs::profile::snapshot() {
-            r.counter_with(
-                "heteropipe_profile_phase_total_nanoseconds",
-                "Wall nanoseconds attributed to a profiled phase.",
-                &[("phase", p.name)],
-            )
-            .set(p.total_ns);
-            r.histogram_with(
-                "heteropipe_profile_phase_duration_nanoseconds",
-                "Per-call wall-time distribution of a profiled phase.",
-                &[("phase", p.name)],
-            )
-            .merge(&p.histogram);
-        }
-
-        Response {
-            status: 200,
-            headers: vec![(
-                "Content-Type".into(),
-                "text/plain; version=0.0.4; charset=utf-8".into(),
-            )],
-            body: r.render_prometheus().into_bytes(),
-            chunked: false,
-            stream: None,
-        }
     }
 
-    /// `GET /v1/runs/{key}/trace`: the Chrome-trace timeline retained for
-    /// a run (or sweep) key. The key is validated by [`Api::run_resource`]
-    /// before this is reached.
-    fn run_trace(&self, req: &Request, key: &str) -> Response {
-        match self.engine.traces().render(&key.to_ascii_lowercase()) {
-            Some(json) => Response {
-                status: 200,
-                headers: vec![("Content-Type".into(), "application/json".into())],
-                body: json.into_bytes(),
-                chunked: false,
-                stream: None,
-            },
-            None => fail(req, 404, "not_found", "no trace retained for that run key"),
-        }
-    }
-
-    fn metrics_json(&self) -> Response {
+    /// `engine` and `workflows` ahead of the shared fields, `profile`
+    /// after them.
+    fn metrics_json(&self, shared: Vec<(String, Json)>) -> Vec<(String, Json)> {
         let e = self.engine.metrics();
         let engine = Json::Obj(vec![
             ("jobs_total".into(), Json::U64(e.jobs_total())),
@@ -1093,48 +558,7 @@ impl Api {
             ),
         ]);
 
-        let server = match self.stats.get() {
-            Some(s) => {
-                use std::sync::atomic::Ordering::Relaxed;
-                let lat = s.latency_us.lock().unwrap();
-                let breaker = match self.breaker.get() {
-                    Some(b) => Json::Obj(vec![
-                        ("state".into(), Json::str(b.state_name())),
-                        ("opened".into(), Json::U64(b.opened_total())),
-                        ("shed".into(), Json::U64(b.shed_total())),
-                    ]),
-                    None => Json::Null,
-                };
-                Json::Obj(vec![
-                    ("requests".into(), Json::U64(s.requests.load(Relaxed))),
-                    ("in_flight".into(), Json::U64(s.in_flight.load(Relaxed))),
-                    ("rejected_503".into(), Json::U64(s.rejected.load(Relaxed))),
-                    ("shed_503".into(), Json::U64(s.shed.load(Relaxed))),
-                    ("breaker".into(), breaker),
-                    (
-                        "responses".into(),
-                        Json::Obj(vec![
-                            ("2xx".into(), Json::U64(s.status_2xx.load(Relaxed))),
-                            ("4xx".into(), Json::U64(s.status_4xx.load(Relaxed))),
-                            ("5xx".into(), Json::U64(s.status_5xx.load(Relaxed))),
-                        ]),
-                    ),
-                    (
-                        "latency_us".into(),
-                        Json::Obj(vec![
-                            ("count".into(), Json::U64(lat.count())),
-                            ("mean".into(), Json::F64(lat.mean())),
-                            ("p50".into(), Json::U64(lat.percentile(0.50))),
-                            ("p99".into(), Json::U64(lat.percentile(0.99))),
-                            ("max".into(), Json::U64(lat.max())),
-                        ]),
-                    ),
-                ])
-            }
-            None => Json::Null,
-        };
-
-        let f = self.flow.metrics();
+        let f = self.core.flow().metrics();
         let workflows = Json::Obj(vec![
             ("count".into(), Json::U64(f.workflows)),
             ("stages".into(), Json::U64(f.stages)),
@@ -1157,644 +581,10 @@ impl Api {
                 .collect(),
         );
 
-        let journal = match self.journal.get() {
-            Some(j) => {
-                let js = j.stats();
-                Json::Obj(vec![
-                    ("appended".into(), Json::U64(js.appended)),
-                    ("replayed".into(), Json::U64(js.replayed)),
-                    ("recovered".into(), Json::U64(js.recovered)),
-                    ("tmp_swept".into(), Json::U64(js.tmp_swept)),
-                    (
-                        "segments_quarantined".into(),
-                        Json::U64(js.segments_quarantined),
-                    ),
-                    ("torn_truncated".into(), Json::U64(js.torn_truncated)),
-                    ("gc_swept".into(), Json::U64(js.gc_swept)),
-                    ("async_jobs".into(), Json::U64(self.async_jobs.len() as u64)),
-                ])
-            }
-            None => Json::Null,
-        };
-
-        let tenants = Json::Arr(
-            self.tenants
-                .get()
-                .map(|g| g.counts())
-                .unwrap_or_default()
-                .into_iter()
-                .map(|t| {
-                    Json::Obj(vec![
-                        ("tenant".into(), Json::str(t.tenant)),
-                        ("requests".into(), Json::U64(t.requests)),
-                        ("throttled".into(), Json::U64(t.throttled)),
-                    ])
-                })
-                .collect(),
-        );
-
-        Response::json(
-            200,
-            &Json::Obj(vec![
-                ("engine".into(), engine),
-                ("workflows".into(), workflows),
-                ("journal".into(), journal),
-                ("tenants".into(), tenants),
-                (
-                    "deadline_exceeded".into(),
-                    Json::U64(self.deadline_exceeded.load(Ordering::Relaxed)),
-                ),
-                ("server".into(), server),
-                ("profile".into(), profile),
-            ]),
-        )
-    }
-
-    fn run(&self, req: &Request) -> Response {
-        let Some(body) = parse_body(req) else {
-            return fail(req, 400, "bad_request", "body must be a JSON object");
-        };
-        let job = match parse_job_spec(&body) {
-            Ok(job) => job,
-            Err(e) => return fail(req, e.status, e.code, &e.message),
-        };
-        let spec = job.spec();
-        let key = run_key(&spec);
-        let request_id = (!req.request_id.is_empty()).then_some(req.request_id.as_str());
-        match self.engine.try_execute_observed(&spec, request_id) {
-            Ok(report) => {
-                Response::json(200, &report_json(&report)).with_header("X-Run-Key", &key.hex())
-            }
-            // A quarantined job will stay broken until an operator looks
-            // at it: 503 + Retry-After tells well-behaved clients to back
-            // off rather than hammer a poisoned key.
-            Err(e @ EngineError::Quarantined { .. }) => envelope(
-                503,
-                "quarantined",
-                &e.to_string(),
-                Some(30),
-                &req.request_id,
-            )
-            .with_header("X-Run-Key", &key.hex()),
-            Err(e) => {
-                fail(req, 500, "internal", &e.to_string()).with_header("X-Run-Key", &key.hex())
-            }
-        }
-    }
-
-    /// `POST /v1/sweeps`: executes a whole batch through the engine's
-    /// dedup + single-flight sweep pipeline, streaming one NDJSON record
-    /// per entry the moment it completes (completion order — each record
-    /// carries its request index and run key) and a final summary line.
-    /// The response carries the sweep's content address in `X-Sweep-Key`.
-    fn sweeps(&self, req: &Request) -> Response {
-        let Some(body) = parse_body(req) else {
-            return fail(req, 400, "bad_request", "body must be a JSON object");
-        };
-        let entries = match sweep_entries(&body) {
-            Ok(entries) => entries,
-            Err(e) => return fail(req, e.status, e.code, &e.message),
-        };
-        if entries.is_empty() {
-            return fail(req, 400, "bad_request", "sweep has no jobs");
-        }
-        if entries.len() > MAX_SWEEP_JOBS {
-            return fail(
-                req,
-                413,
-                "payload_too_large",
-                &format!(
-                    "sweep of {} jobs exceeds the {MAX_SWEEP_JOBS}-job cap",
-                    entries.len()
-                ),
-            );
-        }
-        let mut owned = Vec::with_capacity(entries.len());
-        for (i, entry) in entries.iter().enumerate() {
-            match parse_job_spec(entry) {
-                Ok(job) => owned.push(job),
-                Err(e) => return fail(req, e.status, e.code, &format!("jobs[{i}]: {}", e.message)),
-            }
-        }
-        let keys: Vec<RunKey> = owned.iter().map(|o| run_key(&o.spec())).collect();
-        let sweep_hex = sweep_key(&keys).hex();
-
-        if wants_async(req) {
-            return self.sweep_async(req, &entries, owned, sweep_hex);
-        }
-
-        let engine = Arc::clone(&self.engine);
-        let request_id = req.request_id.clone();
-        let stream = BodyStream::new(move |sink| {
-            let specs: Vec<JobSpec<'_>> = owned.iter().map(OwnedJobSpec::spec).collect();
-            // The engine calls the sink from its worker threads; the
-            // chunk writer is the one shared side effect to serialize.
-            let out = Mutex::new(sink);
-            let broken = AtomicBool::new(false);
-            let rid = (!request_id.is_empty()).then_some(request_id.as_str());
-            let outcome = engine.execute_sweep_observed(&specs, rid, &|rec| {
-                if broken.load(Ordering::Relaxed) {
-                    return;
-                }
-                let line = format!("{}\n", sweep_record_json(rec).dump());
-                if out.lock().unwrap().send(line.as_bytes()).is_err() {
-                    // The peer went away mid-stream. Keep executing (the
-                    // cache still warms for the retry) but stop writing.
-                    broken.store(true, Ordering::Relaxed);
-                }
-            });
-            if broken.load(Ordering::Relaxed) {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::BrokenPipe,
-                    "sweep stream peer went away",
-                ));
-            }
-            let line = format!("{}\n", sweep_summary_json(&outcome).dump());
-            let mut w = out.lock().unwrap();
-            w.send(line.as_bytes())
-        });
-        Response::streaming(200, "application/x-ndjson", stream)
-            .with_header("X-Sweep-Key", &sweep_hex)
-    }
-
-    /// `POST /v1/sweeps?async=1`: accepts the (already validated) sweep,
-    /// journals its intent, and answers `202 Accepted` immediately with
-    /// the key to poll. A background thread executes the batch, appending
-    /// each record to the journal as it completes; `GET /v1/sweeps/{key}`
-    /// reports progress and `GET /v1/sweeps/{key}/records` streams the
-    /// journaled NDJSON. Resubmitting the same sweep while it runs (or
-    /// after it finishes) is idempotent: same key, same 202.
-    fn sweep_async(
-        &self,
-        req: &Request,
-        entries: &[Json],
-        owned: Vec<OwnedJobSpec>,
-        sweep_hex: String,
-    ) -> Response {
-        let Some(journal) = self.journal.get() else {
-            return envelope(
-                503,
-                "async_unavailable",
-                "async sweeps need a write-ahead journal; start the server with one (serve --journal-dir)",
-                None,
-                &req.request_id,
-            );
-        };
-        let total = owned.len() as u64;
-        // A sealed segment from an earlier run means the job is already
-        // complete: adopt it instead of re-executing.
-        let sealed = matches!(journal.replay(&sweep_hex), Ok(Some(r)) if r.done);
-        let state = if sealed {
-            JobState::Done
-        } else {
-            JobState::Running
-        };
-        let done = if sealed { total } else { 0 };
-        let (job, fresh) = self
-            .async_jobs
-            .register(&sweep_hex, "sweep", total, state, done);
-        if !fresh || sealed {
-            return Response::json(202, &jobs::status_json(&sweep_hex, &job))
-                .with_header("X-Sweep-Key", &sweep_hex);
-        }
-        // Write-ahead: the full expanded job list hits the journal before
-        // any execution, so a crash at any later point is resumable.
-        if let Err(e) = journal.begin(&sweep_hex, &jobs::sweep_intent(entries)) {
-            job.fail(format!("journal intent write failed: {e}"));
-            return envelope(
-                503,
-                "journal_unavailable",
-                &format!("could not journal sweep intent: {e}"),
-                Some(1),
-                &req.request_id,
-            );
-        }
-        let rid = (!req.request_id.is_empty()).then(|| req.request_id.clone());
-        self.spawn_sweep_driver(
-            Arc::clone(journal),
-            job,
-            owned,
-            sweep_hex.clone(),
-            rid,
-            HashSet::new(),
-            false,
-        );
-        Response::json(
-            202,
-            &jobs::accepted_json(
-                &sweep_hex,
-                "sweep",
-                &format!("/v1/sweeps/{sweep_hex}"),
-                total,
-            ),
-        )
-        .with_header("X-Sweep-Key", &sweep_hex)
-    }
-
-    /// Spawns the background thread that executes an async sweep and
-    /// journals its records. `already` holds the record indexes a prior
-    /// process journaled (resume skips re-appending them — the cache makes
-    /// re-execution itself nearly free); `recovered` marks a crash-resume
-    /// so completion counts toward `heteropipe_journal_recovered_total`.
-    #[allow(clippy::too_many_arguments)]
-    fn spawn_sweep_driver(
-        &self,
-        journal: Arc<Journal>,
-        job: Arc<AsyncJob>,
-        owned: Vec<OwnedJobSpec>,
-        key_hex: String,
-        request_id: Option<String>,
-        already: HashSet<u64>,
-        recovered: bool,
-    ) {
-        let engine = Arc::clone(&self.engine);
-        std::thread::spawn(move || {
-            drive_sweep(
-                &engine, &journal, &job, &owned, &key_hex, request_id, &already, recovered,
-            );
-        });
-    }
-
-    /// `POST /v1/workflows?async=1`: accepts the validated graph, journals
-    /// the submitted body as intent, answers 202, and drives the workflow
-    /// on a background thread — one journaled record per stage event plus
-    /// a final record holding the full result (the shape
-    /// `GET /v1/workflows/{key}` serves).
-    fn workflow_async(
-        &self,
-        req: &Request,
-        body: &Json,
-        graph: TaskGraph,
-        wkey: String,
-    ) -> Response {
-        let Some(journal) = self.journal.get() else {
-            return envelope(
-                503,
-                "async_unavailable",
-                "async workflows need a write-ahead journal; start the server with one (serve --journal-dir)",
-                None,
-                &req.request_id,
-            );
-        };
-        // Stage events plus the trailing result record.
-        let total = graph.len() as u64 + 1;
-        let sealed = matches!(journal.replay(&wkey), Ok(Some(r)) if r.done);
-        let state = if sealed {
-            JobState::Done
-        } else {
-            JobState::Running
-        };
-        let done = if sealed { total } else { 0 };
-        let (job, fresh) = self
-            .async_jobs
-            .register(&wkey, "workflow", total, state, done);
-        if !fresh || sealed {
-            return Response::json(202, &jobs::status_json(&wkey, &job))
-                .with_header("X-Workflow-Key", &wkey);
-        }
-        if let Err(e) = journal.begin(&wkey, &jobs::workflow_intent(body)) {
-            job.fail(format!("journal intent write failed: {e}"));
-            return envelope(
-                503,
-                "journal_unavailable",
-                &format!("could not journal workflow intent: {e}"),
-                Some(1),
-                &req.request_id,
-            );
-        }
-        let rid = (!req.request_id.is_empty()).then(|| req.request_id.clone());
-        self.spawn_workflow_driver(
-            Arc::clone(journal),
-            job,
-            graph,
-            wkey.clone(),
-            rid,
-            HashSet::new(),
-            false,
-        );
-        Response::json(
-            202,
-            &jobs::accepted_json(&wkey, "workflow", &format!("/v1/workflows/{wkey}"), total),
-        )
-        .with_header("X-Workflow-Key", &wkey)
-    }
-
-    /// Spawns the background thread driving an async workflow (see
-    /// [`Api::spawn_sweep_driver`] for the `already`/`recovered` contract).
-    #[allow(clippy::too_many_arguments)]
-    fn spawn_workflow_driver(
-        &self,
-        journal: Arc<Journal>,
-        job: Arc<AsyncJob>,
-        graph: TaskGraph,
-        key_hex: String,
-        request_id: Option<String>,
-        already: HashSet<u64>,
-        recovered: bool,
-    ) {
-        let flow = Arc::clone(&self.flow);
-        std::thread::spawn(move || {
-            drive_workflow(
-                &flow, &journal, &job, &graph, &key_hex, request_id, &already, recovered,
-            );
-        });
-    }
-
-    /// Replays the journal at startup: every segment with an intent but no
-    /// seal is re-registered and driven to completion on background
-    /// threads. The result cache turns already-persisted jobs into hits,
-    /// so only the missing tail actually re-executes, and the journaled
-    /// records end up identical to an uninterrupted run's.
-    pub fn resume_incomplete(&self) {
-        let Some(journal) = self.journal.get() else {
-            return;
-        };
-        for key in journal.incomplete() {
-            let Ok(Some(replay)) = journal.replay(&key) else {
-                continue;
-            };
-            let Some((kind, payload)) = jobs::parse_intent(&replay.intent) else {
-                obs_log::warn(
-                    "serve",
-                    "journaled intent is unreadable; segment left unresumed",
-                    &[("key", key.clone().into())],
-                );
-                continue;
-            };
-            match kind.as_str() {
-                "sweep" => self.resume_sweep(journal, &key, &payload, &replay),
-                "workflow" => self.resume_workflow(journal, &key, &payload, &replay),
-                _ => {}
-            }
-        }
-    }
-
-    fn resume_sweep(
-        &self,
-        journal: &Arc<Journal>,
-        key: &str,
-        payload: &Json,
-        replay: &heteropipe_engine::Replay,
-    ) {
-        let entries = payload.as_array().map(<[Json]>::to_vec).unwrap_or_default();
-        let mut owned = Vec::with_capacity(entries.len());
-        for entry in &entries {
-            match parse_job_spec(entry) {
-                Ok(job) => owned.push(job),
-                Err(e) => {
-                    let (job, _) = self.async_jobs.register(
-                        key,
-                        "sweep",
-                        entries.len() as u64,
-                        JobState::Failed,
-                        0,
-                    );
-                    job.fail(format!("journaled intent no longer parses: {}", e.message));
-                    return;
-                }
-            }
-        }
-        let already = replay.indexes();
-        let (job, fresh) = self.async_jobs.register(
-            key,
-            "sweep",
-            owned.len() as u64,
-            JobState::Running,
-            already.len() as u64,
-        );
-        if !fresh {
-            return;
-        }
-        obs_log::info(
-            "serve",
-            "resuming interrupted async sweep from journal",
-            &[
-                ("key", key.to_string().into()),
-                ("jobs_total", (owned.len() as u64).into()),
-                ("records_journaled", (already.len() as u64).into()),
-            ],
-        );
-        self.spawn_sweep_driver(
-            Arc::clone(journal),
-            job,
-            owned,
-            key.to_string(),
-            None,
-            already,
-            true,
-        );
-    }
-
-    fn resume_workflow(
-        &self,
-        journal: &Arc<Journal>,
-        key: &str,
-        payload: &Json,
-        replay: &heteropipe_engine::Replay,
-    ) {
-        let graph = match workflow_graph(payload) {
-            Ok(graph) => graph,
-            Err(e) => {
-                let (job, _) = self
-                    .async_jobs
-                    .register(key, "workflow", 0, JobState::Failed, 0);
-                job.fail(format!("journaled intent no longer parses: {}", e.message));
-                return;
-            }
-        };
-        let total = graph.len() as u64 + 1;
-        let already = replay.indexes();
-        let (job, fresh) = self.async_jobs.register(
-            key,
-            "workflow",
-            total,
-            JobState::Running,
-            already.len() as u64,
-        );
-        if !fresh {
-            return;
-        }
-        obs_log::info(
-            "serve",
-            "resuming interrupted async workflow from journal",
-            &[
-                ("key", key.to_string().into()),
-                ("records_journaled", (already.len() as u64).into()),
-            ],
-        );
-        self.spawn_workflow_driver(
-            Arc::clone(journal),
-            job,
-            graph,
-            key.to_string(),
-            None,
-            already,
-            true,
-        );
-    }
-
-    /// `POST /v1/workflows`: runs a task graph — a built-in named graph
-    /// (`{"workflow": "fig5", "scale": 0.08}`) or an inline list of sweep
-    /// stages with dependency edges — streaming one NDJSON stage-completion
-    /// event per stage and a trailing summary line. The response carries
-    /// the graph's content address in `X-Workflow-Key`; feeding it back to
-    /// `GET /v1/workflows/{key}` returns the journaled result.
-    fn workflows(&self, req: &Request) -> Response {
-        let Some(body) = parse_body(req) else {
-            return fail(req, 400, "bad_request", "body must be a JSON object");
-        };
-        let graph = match workflow_graph(&body) {
-            Ok(graph) => graph,
-            Err(e) => return fail(req, e.status, e.code, &e.message),
-        };
-        // Full validation (duplicates, unknown edges, cycles) up front, so
-        // a bad graph is a clean 400 envelope instead of a broken stream.
-        let wkey = match graph.workflow_key() {
-            Ok(key) => key.hex(),
-            Err(e) => return fail(req, 400, "bad_request", &format!("invalid workflow: {e}")),
-        };
-        if wants_async(req) {
-            return self.workflow_async(req, &body, graph, wkey);
-        }
-        // An `X-Deadline-Ms` budget (already vetted by admission) becomes
-        // an absolute deadline the DAG runner checks between levels:
-        // stages whose level starts past it fail with a deadline error
-        // and their dependents cascade-skip.
-        let deadline = deadline_ms(req)
-            .ok()
-            .flatten()
-            .map(|ms| std::time::Instant::now() + std::time::Duration::from_millis(ms));
-        let flow = Arc::clone(&self.flow);
-        let request_id = req.request_id.clone();
-        let stream = BodyStream::new(move |sink| {
-            // The runner calls the sink from its worker threads; the chunk
-            // writer is the one shared side effect to serialize.
-            let out = Mutex::new(sink);
-            let broken = AtomicBool::new(false);
-            let rid = (!request_id.is_empty()).then_some(request_id.as_str());
-            let result = flow.run_observed_deadline(
-                &graph,
-                rid,
-                &|ev| {
-                    if broken.load(Ordering::Relaxed) {
-                        return;
-                    }
-                    let line = format!("{}\n", stage_event_json(ev).dump());
-                    if out.lock().unwrap().send(line.as_bytes()).is_err() {
-                        // The peer went away mid-stream. Keep executing
-                        // (the memo still warms for the retry) but stop
-                        // writing.
-                        broken.store(true, Ordering::Relaxed);
-                    }
-                },
-                deadline,
-            );
-            let result = result.expect("graph validated before streaming");
-            if broken.load(Ordering::Relaxed) {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::BrokenPipe,
-                    "workflow stream peer went away",
-                ));
-            }
-            let line = format!("{}\n", workflow_summary_json(&result).dump());
-            let mut w = out.lock().unwrap();
-            w.send(line.as_bytes())
-        });
-        Response::streaming(200, "application/x-ndjson", stream)
-            .with_header("X-Workflow-Key", &wkey)
-    }
-
-    /// `GET /v1/workflows/{key}`: the journaled result of a previously
-    /// executed workflow — summary, per-stage events, and the rendered
-    /// text of every declared output stage.
-    fn workflow_lookup(&self, req: &Request, key: &str) -> Response {
-        if !valid_run_key(key) {
-            return fail(
-                req,
-                400,
-                "bad_request",
-                &format!("workflow key must be 32 hex characters, got {key:?}"),
-            );
-        }
-        let key = key.to_ascii_lowercase();
-        if let Some(result) = self.flow.journaled(&key) {
-            return Response::json(200, &workflow_result_json(&result))
-                .with_header("X-Workflow-Key", &result.key_hex)
-                .into_chunked();
-        }
-        // Not in the in-memory result journal: an async workflow this
-        // process is (or was) driving answers its live status...
-        if let Some(job) = self.async_jobs.get(&key) {
-            if job.state() != JobState::Done {
-                return Response::json(200, &jobs::status_json(&key, &job))
-                    .with_header("X-Workflow-Key", &key);
-            }
-        }
-        // ...and a sealed segment from a previous process answers from
-        // disk: its final record is the full result JSON.
-        if let Some(journal) = self.journal.get() {
-            if let Ok(Some(replay)) = journal.replay(&key) {
-                if replay.done {
-                    if let Some(result) = replay
-                        .records
-                        .iter()
-                        .max_by_key(|&&(i, _)| i)
-                        .and_then(|(_, line)| Json::parse(line))
-                        .filter(|v| v.get("workflow").is_some())
-                    {
-                        return Response::json(200, &result)
-                            .with_header("X-Workflow-Key", &key)
-                            .into_chunked();
-                    }
-                }
-                if let Some(body) = journal_status_json(&key, "workflow", &replay) {
-                    return Response::json(200, &body).with_header("X-Workflow-Key", &key);
-                }
-            }
-        }
-        fail(req, 404, "not_found", "no journaled workflow for that key")
-    }
-
-    fn experiment(&self, req: &Request, name: &str) -> Response {
-        let body = parse_body(req).unwrap_or(Json::Obj(Vec::new()));
-        let scale = match parse_scale(&body) {
-            Ok(scale) => scale,
-            Err(why) => return fail(req, 400, "bad_request", why),
-        };
-        let exec: &dyn Executor = &*self.engine;
-
-        let rendered = match name {
-            "fig3" => fig3::render(&fig3::compute_with(exec, scale)),
-            "fig4" => fig456::render_fig4(&fig4_rows(exec, scale)),
-            "fig5" => fig456::render_fig5(&fig456::fig5(&characterize_all_with(exec, scale))),
-            "fig6" => {
-                let pairs = characterize_all_with(exec, scale);
-                fig456::render_fig6_with_effects(&fig456::fig6(&pairs), &pairs)
-            }
-            "fig7" => fig78::render_fig7(&fig78::fig7(&characterize_all_with(exec, scale))),
-            "fig8" => fig78::render_fig8(&fig78::fig8(&characterize_all_with(exec, scale))),
-            "fig9" => fig9::render(&fig9::fig9(&characterize_all_with(exec, scale))),
-            "table1" => tables::render_table1(),
-            "table2" => tables::render_table2(),
-            _ => {
-                return fail(
-                    req,
-                    404,
-                    "not_found",
-                    &format!("unknown experiment: {name} (fig3..fig9, table1, table2)"),
-                )
-            }
-        };
-
-        Response::json(
-            200,
-            &Json::Obj(vec![
-                ("experiment".into(), Json::str(name)),
-                ("scale".into(), Json::F64(scale.factor())),
-                ("rendered".into(), Json::str(rendered)),
-            ]),
-        )
-        .into_chunked()
+        let mut fields = vec![("engine".into(), engine), ("workflows".into(), workflows)];
+        fields.extend(shared);
+        fields.push(("profile".into(), profile));
+        fields
     }
 }
 
@@ -1802,148 +592,8 @@ fn fig4_rows(exec: &dyn Executor, scale: Scale) -> Vec<fig456::Fig4Row> {
     fig456::fig4(&characterize_all_with(exec, scale))
 }
 
-/// The background body of an async sweep: execute the batch, append each
-/// record to the journal as it completes, then seal the segment. Records
-/// whose index is in `already` were journaled by a previous process and
-/// are skipped (the engine still "executes" them, but the cache answers).
-/// A failed append never fails the job — it is retried once after the
-/// batch; only records that still cannot be journaled fail the job, since
-/// an unsealed segment without them could never resume faithfully.
-#[allow(clippy::too_many_arguments)]
-fn drive_sweep(
-    engine: &Arc<Engine>,
-    journal: &Arc<Journal>,
-    job: &Arc<AsyncJob>,
-    owned: &[OwnedJobSpec],
-    key_hex: &str,
-    request_id: Option<String>,
-    already: &HashSet<u64>,
-    recovered: bool,
-) {
-    let specs: Vec<JobSpec<'_>> = owned.iter().map(OwnedJobSpec::spec).collect();
-    let rid = request_id.as_deref();
-    let retry: Mutex<Vec<(u64, String, bool)>> = Mutex::new(Vec::new());
-    engine.execute_sweep_observed(&specs, rid, &|rec| {
-        let index = rec.index as u64;
-        if already.contains(&index) {
-            return;
-        }
-        let line = sweep_record_json(rec).dump();
-        let errored = rec.result.is_err();
-        match journal.append_record(key_hex, index, &line) {
-            Ok(()) => job.record_done(errored),
-            Err(e) => {
-                obs_log::warn(
-                    "serve",
-                    "journal append failed; retrying after the batch",
-                    &[
-                        ("key", key_hex.to_string().into()),
-                        ("index", index.into()),
-                        ("error", e.to_string().into()),
-                    ],
-                );
-                retry.lock().unwrap().push((index, line, errored));
-            }
-        }
-    });
-    let mut lost = 0u64;
-    for (index, line, errored) in retry.into_inner().unwrap() {
-        match journal.append_record(key_hex, index, &line) {
-            Ok(()) => job.record_done(errored),
-            Err(e) => {
-                lost += 1;
-                obs_log::error(
-                    "serve",
-                    "journal append failed permanently",
-                    &[
-                        ("key", key_hex.to_string().into()),
-                        ("index", index.into()),
-                        ("error", e.to_string().into()),
-                    ],
-                );
-            }
-        }
-    }
-    if lost > 0 {
-        job.fail(format!("{lost} record(s) could not be journaled"));
-        return;
-    }
-    match journal.finish(key_hex, job.total) {
-        Ok(()) => {
-            if recovered {
-                journal.mark_recovered();
-            }
-            job.set_state(JobState::Done);
-        }
-        Err(e) => job.fail(format!("journal seal failed: {e}")),
-    }
-}
-
-/// The background body of an async workflow: run the graph, journaling
-/// one record per stage event (in emission order) and a final record
-/// holding the full result JSON — the shape `GET /v1/workflows/{key}`
-/// serves, so a restarted process can answer lookups from disk alone.
-#[allow(clippy::too_many_arguments)]
-fn drive_workflow(
-    flow: &Arc<FlowRunner>,
-    journal: &Arc<Journal>,
-    job: &Arc<AsyncJob>,
-    graph: &TaskGraph,
-    key_hex: &str,
-    request_id: Option<String>,
-    already: &HashSet<u64>,
-    recovered: bool,
-) {
-    let rid = request_id.as_deref();
-    let counter = AtomicU64::new(0);
-    let result = flow.run_observed(graph, rid, &|ev| {
-        let index = counter.fetch_add(1, Ordering::Relaxed);
-        if already.contains(&index) {
-            return;
-        }
-        let line = stage_event_json(ev).dump();
-        let errored = ev.error.is_some();
-        match journal.append_record(key_hex, index, &line) {
-            Ok(()) => job.record_done(errored),
-            Err(e) => obs_log::warn(
-                "serve",
-                "journal append failed for workflow stage event",
-                &[
-                    ("key", key_hex.to_string().into()),
-                    ("index", index.into()),
-                    ("error", e.to_string().into()),
-                ],
-            ),
-        }
-    });
-    match result {
-        Ok(result) => {
-            let final_index = job.total.saturating_sub(1);
-            if !already.contains(&final_index) {
-                let line = workflow_result_json(&result).dump();
-                if let Err(e) = journal.append_record(key_hex, final_index, &line) {
-                    job.fail(format!("journal append failed for workflow result: {e}"));
-                    return;
-                }
-                job.record_done(false);
-            }
-            match journal.finish(key_hex, job.total) {
-                Ok(()) => {
-                    if recovered {
-                        journal.mark_recovered();
-                    }
-                    job.set_state(JobState::Done);
-                }
-                Err(e) => job.fail(format!("journal seal failed: {e}")),
-            }
-        }
-        Err(e) => job.fail(format!("workflow failed: {e}")),
-    }
-}
-
 /// Parses a request body as a JSON object (`None` for empty, non-UTF-8,
-/// unparseable, or non-object bodies). Shared with the cluster
-/// coordinator so both front doors reject malformed bodies identically.
+/// unparseable, or non-object bodies).
 pub fn parse_body(req: &Request) -> Option<Json> {
     if req.body.is_empty() {
         return None;
@@ -1955,7 +605,7 @@ pub fn parse_body(req: &Request) -> Option<Json> {
     }
 }
 
-fn parse_scale(body: &Json) -> Result<Scale, &'static str> {
+pub(crate) fn parse_scale(body: &Json) -> Result<Scale, &'static str> {
     match body.get("scale") {
         None | Some(Json::Null) => Ok(Scale::PAPER),
         Some(v) => {
@@ -2028,7 +678,8 @@ pub struct SpecError {
 }
 
 impl SpecError {
-    fn new(status: u16, code: &'static str, message: impl Into<String>) -> SpecError {
+    /// An error with `status` and `code`.
+    pub fn new(status: u16, code: &'static str, message: impl Into<String>) -> SpecError {
         SpecError {
             status,
             code,
@@ -2036,7 +687,7 @@ impl SpecError {
         }
     }
 
-    fn bad(message: impl Into<String>) -> SpecError {
+    pub(crate) fn bad(message: impl Into<String>) -> SpecError {
         SpecError::new(400, "bad_request", message)
     }
 }
@@ -2234,145 +885,6 @@ fn sweep_summary_json(outcome: &heteropipe_engine::SweepOutcome) -> Json {
             ("speedup_vs_serial".into(), Json::F64(s.speedup_vs_serial())),
         ]),
     )])
-}
-
-/// Builds the graph a `POST /v1/workflows` body describes: either a
-/// built-in named graph (`"workflow"` plus optional `"scale"`) or an
-/// inline `"stages"` array of sweep stages with dependency edges.
-pub fn workflow_graph(body: &Json) -> Result<TaskGraph, SpecError> {
-    if let Some(name) = body.get("workflow") {
-        let Some(name) = name.as_str() else {
-            return Err(SpecError::bad("\"workflow\" must be a string"));
-        };
-        let scale = parse_scale(body).map_err(SpecError::bad)?;
-        return match figures::graph(name, scale, false) {
-            Some(fg) => Ok(fg.graph),
-            None => Err(SpecError::new(
-                404,
-                "not_found",
-                format!(
-                    "unknown workflow: {name} (built-ins: {})",
-                    figures::names().join(", ")
-                ),
-            )),
-        };
-    }
-    let Some(stages) = body.get("stages") else {
-        return Err(SpecError::bad(
-            "body needs \"workflow\" (built-in name) or \"stages\" (array of stage objects)",
-        ));
-    };
-    let Some(stages) = stages.as_array() else {
-        return Err(SpecError::bad("\"stages\" must be an array"));
-    };
-    if stages.is_empty() {
-        return Err(SpecError::bad("workflow has no stages"));
-    }
-    if stages.len() > MAX_WORKFLOW_STAGES {
-        return Err(SpecError::new(
-            413,
-            "payload_too_large",
-            format!(
-                "workflow of {} stages exceeds the {MAX_WORKFLOW_STAGES}-stage cap",
-                stages.len()
-            ),
-        ));
-    }
-    let mut graph = TaskGraph::new("inline");
-    let mut total_jobs = 0usize;
-    for (i, stage) in stages.iter().enumerate() {
-        let Json::Obj(_) = stage else {
-            return Err(SpecError::bad(format!("stages[{i}] must be an object")));
-        };
-        let built = inline_stage(stage, &mut total_jobs)
-            .map_err(|e| SpecError::new(e.status, e.code, format!("stages[{i}]: {}", e.message)))?;
-        let name = built.name().to_owned();
-        graph.add(built);
-        graph.output(name);
-    }
-    Ok(graph)
-}
-
-/// Parses one inline workflow stage: a name, optional `deps`, and a sweep
-/// body (the same `jobs` / `benchmarks` forms as `POST /v1/sweeps`). The
-/// stage key is derived from the sweep's content address, so identical
-/// inline sweep stages memoize across workflows.
-fn inline_stage(stage: &Json, total_jobs: &mut usize) -> Result<Stage, SpecError> {
-    let Some(name) = stage.get("name").and_then(Json::as_str) else {
-        return Err(SpecError::bad("missing field: name"));
-    };
-    let deps: Vec<String> = match stage.get("deps") {
-        None | Some(Json::Null) => Vec::new(),
-        Some(Json::Arr(items)) => {
-            let mut deps = Vec::with_capacity(items.len());
-            for d in items {
-                match d.as_str() {
-                    Some(s) => deps.push(s.to_owned()),
-                    None => return Err(SpecError::bad("\"deps\" entries must be stage names")),
-                }
-            }
-            deps
-        }
-        Some(_) => return Err(SpecError::bad("\"deps\" must be an array of stage names")),
-    };
-    let entries = sweep_entries(stage)?;
-    if entries.is_empty() {
-        return Err(SpecError::bad("stage sweep has no jobs"));
-    }
-    *total_jobs += entries.len();
-    if *total_jobs > MAX_SWEEP_JOBS {
-        return Err(SpecError::new(
-            413,
-            "payload_too_large",
-            format!("workflow exceeds the {MAX_SWEEP_JOBS}-job cap across its stages"),
-        ));
-    }
-    let mut owned = Vec::with_capacity(entries.len());
-    for (j, entry) in entries.iter().enumerate() {
-        match parse_job_spec(entry) {
-            Ok(job) => owned.push(job),
-            Err(e) => {
-                return Err(SpecError::new(
-                    e.status,
-                    e.code,
-                    format!("jobs[{j}]: {}", e.message),
-                ))
-            }
-        }
-    }
-    let keys: Vec<RunKey> = owned.iter().map(|o| run_key(&o.spec())).collect();
-    let sweep_hex = sweep_key(&keys).hex();
-    let mut built = Stage::new(name, StageKind::Sweep, move |ctx| {
-        let specs: Vec<JobSpec<'_>> = owned.iter().map(OwnedJobSpec::spec).collect();
-        let records = Mutex::new(Vec::with_capacity(specs.len()));
-        let outcome = ctx.engine().execute_sweep_observed(&specs, None, &|rec| {
-            records
-                .lock()
-                .unwrap()
-                .push((rec.index, sweep_record_json(rec).dump()));
-        });
-        if outcome.summary.failed > 0 {
-            return Err(format!(
-                "{} of {} sweep jobs failed",
-                outcome.summary.failed, outcome.summary.jobs_total
-            ));
-        }
-        // Completion order is nondeterministic; the stage value is the
-        // records in submission order, one JSON line each.
-        let mut records = records.into_inner().unwrap();
-        records.sort_by_key(|&(i, _)| i);
-        let mut text = String::new();
-        for (_, line) in records {
-            text.push_str(&line);
-            text.push('\n');
-        }
-        Ok(StageValue::from_text(text))
-    })
-    .input(format!("jobs={sweep_hex}"));
-    for d in deps {
-        built = built.dep(d);
-    }
-    Ok(built)
 }
 
 /// One NDJSON stage-completion event of a workflow stream (also the
@@ -2689,6 +1201,7 @@ pub fn report_json(r: &RunReport) -> Json {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::front::{split_resource, valid_run_key, wants_prometheus};
 
     #[test]
     fn run_resource_paths_split_and_keys_validate() {

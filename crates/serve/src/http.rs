@@ -132,12 +132,16 @@ fn read_line(r: &mut impl BufRead, started: &mut bool) -> Result<String, ReadErr
     }
 }
 
+/// Appends exactly `n` more body bytes to `out`. `n` comes off the wire,
+/// so the sum is checked: a body that would pass [`limits::MAX_BODY`] —
+/// or overflow `usize` on the way — is `TooLarge` before any allocation.
 fn read_exact_limited(r: &mut impl BufRead, n: usize, out: &mut Vec<u8>) -> Result<(), ReadError> {
-    if out.len() + n > limits::MAX_BODY {
-        return Err(ReadError::TooLarge);
-    }
     let start = out.len();
-    out.resize(start + n, 0);
+    let end = start
+        .checked_add(n)
+        .filter(|&end| end <= limits::MAX_BODY)
+        .ok_or(ReadError::TooLarge)?;
+    out.resize(end, 0);
     r.read_exact(&mut out[start..])
         .map_err(|e| ReadError::from_io(e, true))
 }
@@ -229,8 +233,11 @@ fn read_chunked_body(r: &mut impl BufRead, started: &mut bool) -> Result<Vec<u8>
     loop {
         let size_line = read_line(r, started)?;
         let size_hex = size_line.split(';').next().unwrap_or("").trim();
-        let size = usize::from_str_radix(size_hex, 16)
-            .map_err(|_| ReadError::Malformed("bad chunk size"))?;
+        // A well-formed size too wide for `usize` is oversize, not garbage.
+        let size = usize::from_str_radix(size_hex, 16).map_err(|e| match e.kind() {
+            std::num::IntErrorKind::PosOverflow => ReadError::TooLarge,
+            _ => ReadError::Malformed("bad chunk size"),
+        })?;
         if size == 0 {
             // Trailer section: lines until the empty one.
             loop {
@@ -530,6 +537,277 @@ mod tests {
             "X-H: v\r\n".repeat(limits::MAX_HEADERS + 1)
         );
         assert!(matches!(parse(&many_headers), Err(ReadError::TooLarge)));
+    }
+
+    #[test]
+    fn oversize_chunk_sizes_are_too_large_not_a_panic() {
+        let chunked = "POST /v1/runs HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n";
+        for sizes in [
+            "1\r\na\r\nffffffffffffffff\r\n",
+            "ffffffffffffffff\r\n",
+            "100001\r\n",
+            "1ffffffffffffffff\r\n",
+        ] {
+            assert!(
+                matches!(
+                    parse(&format!("{chunked}{sizes}")),
+                    Err(ReadError::TooLarge)
+                ),
+                "{sizes:?}"
+            );
+        }
+    }
+
+    // ---- generated cases ----------------------------------------------
+
+    use heteropipe_sim::check::{self, Gen};
+    use std::io::Read;
+
+    /// A reader that hands out at most a random 1..=`max` bytes per read,
+    /// so parsing cannot lean on how the bytes happen to arrive.
+    struct Trickle {
+        data: Vec<u8>,
+        pos: usize,
+        max: usize,
+        g: Gen,
+    }
+
+    impl Trickle {
+        fn new(data: Vec<u8>, g: &mut Gen) -> Trickle {
+            let max = g.usize(1, 64);
+            Trickle {
+                data,
+                pos: 0,
+                max,
+                g: Gen::new(g.u64(0, u64::MAX)),
+            }
+        }
+    }
+
+    impl Read for Trickle {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            let n = self
+                .g
+                .usize(1, self.max + 1)
+                .min(buf.len())
+                .min(self.data.len() - self.pos);
+            buf[..n].copy_from_slice(&self.data[self.pos..self.pos + n]);
+            self.pos += n;
+            Ok(n)
+        }
+    }
+
+    impl BufRead for Trickle {
+        fn fill_buf(&mut self) -> io::Result<&[u8]> {
+            let end = (self.pos + self.max).min(self.data.len());
+            Ok(&self.data[self.pos..end])
+        }
+        fn consume(&mut self, n: usize) {
+            self.pos += n;
+        }
+    }
+
+    fn word(g: &mut Gen, alphabet: &[u8], min: usize, max: usize) -> String {
+        let v = g.vec(min, max, |g| alphabet[g.usize(0, alphabet.len())]);
+        String::from_utf8(v).unwrap()
+    }
+
+    const LOWER: &[u8] = b"abcdefghijklmnopqrstuvwxyz0123456789-";
+
+    /// The request head up to (not including) the framing header and the
+    /// blank line, plus the `Request` it must parse to, body aside.
+    fn random_head(g: &mut Gen) -> (String, Request) {
+        let method = ["GET", "POST", "PUT", "DELETE", "PATCH"][g.usize(0, 5)].to_string();
+        let path = format!("/{}", word(g, LOWER, 0, 24));
+        let query = if g.bool() {
+            word(g, b"abc=&123", 1, 16)
+        } else {
+            String::new()
+        };
+        let http10 = g.u64(0, 8) == 0;
+        let target = if query.is_empty() {
+            path.clone()
+        } else {
+            format!("{path}?{query}")
+        };
+        let version = if http10 { "HTTP/1.0" } else { "HTTP/1.1" };
+        let mut head = format!("{method} {target} {version}\r\n");
+        let mut headers = Vec::new();
+        for _ in 0..g.usize(0, 9) {
+            let name = format!("X-{}", word(g, LOWER, 1, 12));
+            let value = word(g, b"abcXYZ 019;=/", 0, 20).trim().to_string();
+            head.push_str(&format!("{name}: {value}\r\n"));
+            headers.push((name.to_ascii_lowercase(), value));
+        }
+        let req = Request {
+            method,
+            path,
+            query,
+            headers,
+            body: Vec::new(),
+            http10,
+            request_id: String::new(),
+        };
+        (head, req)
+    }
+
+    /// `body` in chunked framing: random chunk splits, optional chunk
+    /// extensions, either hex case, optional trailers.
+    fn chunked(g: &mut Gen, body: &[u8]) -> Vec<u8> {
+        let mut out = Vec::new();
+        let mut rest = body;
+        while !rest.is_empty() {
+            let n = g.usize(1, rest.len() + 1);
+            let size = if g.bool() {
+                format!("{n:x}")
+            } else {
+                format!("{n:X}")
+            };
+            let ext = if g.u64(0, 4) == 0 { ";ext=1" } else { "" };
+            out.extend_from_slice(format!("{size}{ext}\r\n").as_bytes());
+            out.extend_from_slice(&rest[..n]);
+            out.extend_from_slice(b"\r\n");
+            rest = &rest[n..];
+        }
+        out.extend_from_slice(b"0\r\n");
+        for _ in 0..g.usize(0, 3) {
+            out.extend_from_slice(b"Trailer-Field: t\r\n");
+        }
+        out.extend_from_slice(b"\r\n");
+        out
+    }
+
+    fn same_request(got: &Request, want: &Request, framing: &str) {
+        assert_eq!(got.method, want.method);
+        assert_eq!(got.path, want.path);
+        assert_eq!(got.query, want.query);
+        assert_eq!(got.http10, want.http10);
+        assert_eq!(got.body, want.body);
+        let headers: Vec<_> = got
+            .headers
+            .iter()
+            .filter(|(n, _)| n != framing)
+            .cloned()
+            .collect();
+        assert_eq!(headers, want.headers);
+    }
+
+    #[test]
+    fn generated_requests_parse_the_same_under_either_framing() {
+        check::cases(300, 0x4854_5450, |g| {
+            let (head, mut want) = random_head(g);
+            let len = g.usize(0, 4097);
+            want.body = g.bytes(len);
+
+            let mut by_length = format!("{head}Content-Length: {len}\r\n\r\n").into_bytes();
+            by_length.extend_from_slice(&want.body);
+            let got = read_request(&mut Trickle::new(by_length, g)).expect("length-framed");
+            same_request(&got, &want, "content-length");
+
+            let mut by_chunks = format!("{head}Transfer-Encoding: chunked\r\n\r\n").into_bytes();
+            by_chunks.extend(chunked(g, &want.body));
+            let got = read_request(&mut Trickle::new(by_chunks, g)).expect("chunk-framed");
+            same_request(&got, &want, "transfer-encoding");
+        });
+    }
+
+    /// Parses `raw`, asserting the verdict is `TooLarge` exactly when
+    /// `over` and a successful parse otherwise.
+    fn limit_verdict(raw: Vec<u8>, g: &mut Gen, over: bool, what: &str) {
+        match read_request(&mut Trickle::new(raw, g)) {
+            Err(ReadError::TooLarge) => assert!(over, "{what}: TooLarge inside the limit"),
+            Ok(_) => assert!(!over, "{what}: accepted past the limit"),
+            Err(e) => panic!("{what}: unexpected {e:?}"),
+        }
+    }
+
+    #[test]
+    fn generated_inputs_near_each_limit_read_too_large_just_past_it() {
+        use limits::{MAX_BODY, MAX_HEADERS, MAX_LINE};
+        check::cases(200, 0x4C49_4D49, |g| {
+            let delta = g.usize(0, 5) as isize - 2;
+            match g.usize(0, 5) {
+                // A request/header line of MAX_LINE bytes or more, before
+                // its CRLF, is refused.
+                0 => {
+                    let n = (MAX_LINE as isize + delta) as usize;
+                    let raw = format!("GET /{} HTTP/1.1\r\n\r\n", "a".repeat(n - 14));
+                    limit_verdict(raw.into_bytes(), g, n >= MAX_LINE, "request line");
+                }
+                1 => {
+                    let n = (MAX_LINE as isize + delta) as usize;
+                    let raw = format!("GET / HTTP/1.1\r\nX: {}\r\n\r\n", "v".repeat(n - 3));
+                    limit_verdict(raw.into_bytes(), g, n >= MAX_LINE, "header line");
+                }
+                2 => {
+                    let n = (MAX_HEADERS as isize + delta) as usize;
+                    let raw = format!("GET / HTTP/1.1\r\n{}\r\n", "X-H: v\r\n".repeat(n));
+                    limit_verdict(raw.into_bytes(), g, n > MAX_HEADERS, "header count");
+                }
+                // Bodies around MAX_BODY, framed either way; chunked
+                // bodies split at a random point.
+                3 => {
+                    let n = (MAX_BODY as isize + delta) as usize;
+                    let head = format!("POST / HTTP/1.1\r\nContent-Length: {n}\r\n\r\n");
+                    let mut raw = head.into_bytes();
+                    raw.resize(raw.len() + n, b'x');
+                    limit_verdict(raw, g, n > MAX_BODY, "content-length body");
+                }
+                _ => {
+                    let n = (MAX_BODY as isize + delta) as usize;
+                    let first = g.usize(1, n);
+                    let mut raw = b"POST / HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n".to_vec();
+                    for size in [first, n - first] {
+                        raw.extend_from_slice(format!("{size:x}\r\n").as_bytes());
+                        raw.resize(raw.len() + size, b'x');
+                        raw.extend_from_slice(b"\r\n");
+                    }
+                    raw.extend_from_slice(b"0\r\n\r\n");
+                    limit_verdict(raw, g, n > MAX_BODY, "chunked body");
+                }
+            }
+        });
+        // Chunk sizes from the whole u64 range after a one-byte first
+        // chunk, so the sum with the body so far can overflow: refused
+        // unless the body fits.
+        check::cases(300, 0x4348_554E, |g| {
+            let size = match g.usize(0, 8) {
+                0 => u64::MAX,
+                _ => g.u64(0, u64::MAX) >> g.u64(0, 64),
+            };
+            let mut raw =
+                b"POST / HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n1\r\na\r\n".to_vec();
+            raw.extend_from_slice(format!("{size:x}\r\n").as_bytes());
+            let over = size >= MAX_BODY as u64;
+            if !over {
+                raw.resize(raw.len() + size as usize, b'x');
+                raw.extend_from_slice(b"\r\n0\r\n\r\n");
+            }
+            limit_verdict(raw, g, over, "chunk size");
+        });
+    }
+
+    #[test]
+    fn generated_garbage_never_panics() {
+        let valid =
+            b"POST /v1/sweeps?async=1 HTTP/1.1\r\nHost: h\r\nTransfer-Encoding: chunked\r\n\r\n\
+                      4;x=y\r\nbody\r\nffffffffffffffff\r\n0\r\nT: t\r\n\r\n";
+        check::cases(400, 0x4741_5242, |g| {
+            let raw = if g.bool() {
+                let len = g.usize(0, 512);
+                g.bytes(len)
+            } else {
+                // A valid request with a few bytes overwritten or cut.
+                let mut raw = valid.to_vec();
+                for _ in 0..g.usize(1, 6) {
+                    let at = g.usize(0, raw.len());
+                    raw[at] = g.u64(0, 256) as u8;
+                }
+                raw.truncate(g.usize(1, raw.len() + 1));
+                raw
+            };
+            let _ = read_request(&mut Trickle::new(raw, g));
+        });
     }
 
     #[test]

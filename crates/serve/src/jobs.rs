@@ -2,9 +2,9 @@
 //!
 //! An asynchronous sweep or workflow is accepted with `202 Accepted`,
 //! journaled (see `heteropipe_engine::journal`), and driven to
-//! completion by a background thread. This module holds the shared
-//! bookkeeping both front doors (serve's `Api` and the cluster
-//! `Coordinator`) use to answer status polls:
+//! completion by a background thread. This module holds the bookkeeping
+//! the request core ([`crate::front`]) keeps for both front doors (serve's
+//! `Api` and the cluster `Coordinator`) to answer status polls:
 //!
 //! * [`AsyncJobs`] — the key→job registry;
 //! * [`AsyncJob`] — one job's live state machine

@@ -23,7 +23,12 @@
 //!   backend is unhealthy (observability routes stay exempt);
 //! * [`error`] — the one JSON error envelope every non-2xx response
 //!   carries (`{"error":{"code","message"},"request_id"}`);
-//! * [`api`] — the routes (full reference in `docs/api.md`): `/healthz`
+//! * [`front`] — the request core serve and the cluster coordinator
+//!   share: the router, admission, the async-job layer over the journal,
+//!   and the shared `/metrics` families, over a small [`front::Backend`]
+//!   trait each front door implements;
+//! * [`api`] — the single-node backend over the engine (full route
+//!   reference in `docs/api.md`): `/healthz`
 //!   (plus `/healthz/live` and `/healthz/ready`), `/metrics`,
 //!   `/v1/benchmarks`, `POST /v1/runs`, `GET /v1/runs/{key}`,
 //!   `GET /v1/runs/{key}/trace`, `POST /v1/sweeps` (batched execution
@@ -51,6 +56,7 @@ pub mod api;
 pub mod breaker;
 pub mod client;
 pub mod error;
+pub mod front;
 pub mod http;
 pub mod jobs;
 pub mod json;

@@ -721,6 +721,29 @@ fn deprecated_aliases_answer_identically_to_canonical_routes() {
     handle.shutdown_and_join();
 }
 
+/// A chunk size whose sum with the body so far overflows `usize` is
+/// answered with the 413 envelope, not a dropped connection.
+#[test]
+fn overflowing_chunk_size_is_answered_with_the_413_envelope() {
+    use std::io::{BufReader, Write};
+    let handle = start(Engine::new().memory_cache_only());
+    let mut stream = std::net::TcpStream::connect(handle.addr()).unwrap();
+    stream
+        .set_read_timeout(Some(std::time::Duration::from_secs(10)))
+        .unwrap();
+    stream
+        .write_all(
+            b"POST /v1/runs HTTP/1.1\r\nHost: t\r\nTransfer-Encoding: chunked\r\n\r\n\
+              1\r\na\r\nffffffffffffffff\r\n",
+        )
+        .unwrap();
+    let resp = heteropipe_serve::client::read_response(&mut BufReader::new(&stream))
+        .expect("a response, not a dropped connection");
+    assert_eq!(resp.status, 413);
+    assert_eq!(resp.api_error().unwrap().code, "payload_too_large");
+    handle.shutdown_and_join();
+}
+
 #[test]
 fn every_client_visible_error_is_the_json_envelope() {
     let handle = start(Engine::new().memory_cache_only());

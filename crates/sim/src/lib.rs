@@ -3,17 +3,17 @@
 //! Discrete-event simulation kernel underpinning the `heteropipe`
 //! heterogeneous CPU-GPU processor study.
 //!
-//! The crate provides four substrates that the rest of the workspace builds
-//! on:
+//! The crate provides three substrates that the rest of the workspace
+//! builds on:
 //!
 //! * [`time`] — picosecond-resolution simulated time ([`Ps`]) and clock
 //!   domains ([`ClockDomain`]) for the 3.5 GHz CPU and 700 MHz GPU cores of
 //!   the paper's Table I.
-//! * [`queue`] — a deterministic event queue ([`EventQueue`]) with stable
-//!   FIFO ordering among simultaneous events.
 //! * [`fluid`] — a max-min-fair fluid bandwidth network ([`FluidNet`]) used
 //!   to model contention on PCIe links, DRAM channels, and on-chip
-//!   interconnect at task granularity.
+//!   interconnect at task granularity. Its `next_completion` is the
+//!   runner's only scheduler: at most three flows run at once (one per
+//!   copy engine, CPU and GPU server), so a scan beats any queue.
 //! * [`stats`] — counters, histograms, and component activity timelines
 //!   ([`Timeline`]) from which run-time breakdowns (paper Figs. 3 and 6) are
 //!   derived.
@@ -36,13 +36,11 @@
 
 pub mod check;
 pub mod fluid;
-pub mod queue;
 pub mod rng;
 pub mod stats;
 pub mod time;
 
 pub use fluid::{FlowId, FluidNet, ResourceId};
-pub use queue::EventQueue;
 pub use rng::SplitMix64;
 pub use stats::{Counter, Histogram, Timeline};
 pub use time::{ClockDomain, Ps};
