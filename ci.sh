@@ -13,6 +13,24 @@ cargo test -q --release
 # it calls fails CI instead of the next benchmark run.
 cargo test --release --offline --manifest-path perfbench/Cargo.toml
 
+# Byte-identity golden (EXPERIMENTS.md): the full reproduction at scale
+# 0.05 must match the committed output byte for byte three ways — cold in
+# an empty directory, warm from the disk cache the cold run left (so the
+# cache's disk read path serves most jobs), and with caching disabled. A
+# golden changes only with a note in EXPERIMENTS.md.
+repo=$(pwd)
+golden=$(mktemp -d)
+(
+    cd "$golden"
+    "$repo/target/release/repro_all" --scale 0.05 > cold.txt
+    "$repo/target/release/repro_all" --scale 0.05 > warm.txt
+    "$repo/target/release/repro_all" --scale 0.05 --no-cache > uncached.txt
+)
+for run in cold warm uncached; do
+    cmp "$golden/$run.txt" results/golden/repro_all_0.05.txt
+done
+rm -rf "$golden"
+
 # Every client-visible error must be the JSON envelope (docs/api.md):
 # the retired plain-text constructors must not creep back in.
 ! grep -rn "Response::error" crates/ --include='*.rs'
@@ -24,6 +42,11 @@ cargo test --release --offline --manifest-path perfbench/Cargo.toml
 # (crates/serve/src/front.rs): the coordinator must not drive a journal
 # of its own again.
 ! grep -rnE 'journal\.(begin|append_record|finish|replay|incomplete|mark_recovered)\(' crates/cluster/src
+
+# Request coalescing has one implementation, heteropipe_engine's
+# SingleFlight, which frees a panicking leader's slot and resolves its
+# waiters: the coordinator must not hand-roll a second one again.
+! grep -rn "Condvar" crates/cluster/src
 
 # Server smoke: ephemeral port, /healthz + one POST /v1/runs through the
 # std-only client, warm repeat must be a byte-identical cache hit, the

@@ -28,7 +28,7 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use heteropipe_engine::{run_key, Engine, Journal, RunKey};
+use heteropipe_engine::{run_key, Engine, Journal, RunKey, SingleFlight};
 use heteropipe_faults::{FaultKind, Injector, Site};
 use heteropipe_flow::{FlowRunner, TaskGraph};
 use heteropipe_obs::log as obs_log;
@@ -45,7 +45,6 @@ use heteropipe_serve::server::{Handler, ServerConfig, ServerHandle, ServerStats}
 use heteropipe_serve::tenant::TenantGate;
 use heteropipe_serve::{Client, ClientPool, ClientResponse};
 
-use crate::flight::{FlightMap, FlightResult};
 use crate::ring::WorkerRing;
 use crate::stitch::{self, CoordSpan, StitchPlan, StitchShard, StitchStore};
 
@@ -130,7 +129,9 @@ pub struct Coordinator {
     ring: WorkerRing,
     workers: Vec<WorkerState>,
     pool: ClientPool,
-    flights: FlightMap,
+    /// Concurrent identical `POST /v1/runs` coalesce onto one probe and
+    /// forward; the flight's answer is replayed to every caller.
+    flights: SingleFlight<Response>,
     faults: Arc<Injector>,
     /// The request core's state. Its flow runner runs inline workflow
     /// graphs here, with stage sweeps fanned out across the cluster, so
@@ -184,7 +185,7 @@ impl Coordinator {
             ring: WorkerRing::new(cfg.workers),
             workers,
             pool: ClientPool::new().with_timeout(cfg.timeout),
-            flights: FlightMap::new(),
+            flights: SingleFlight::new(),
             faults: cfg.faults,
             core: Core::new(me.clone(), flow),
             rehashes: AtomicU64::new(0),
@@ -409,7 +410,7 @@ impl Coordinator {
     }
 
     /// The leader's side of a run flight: peer probe, then forward.
-    fn lead_run(&self, key: RunKey, raw: &[u8], rid: &str, deadline: Deadline) -> FlightResult {
+    fn lead_run(&self, key: RunKey, raw: &[u8], rid: &str, deadline: Deadline) -> Response {
         let hex = key.hex();
         let mut down = self.down_mask();
         loop {
@@ -419,23 +420,11 @@ impl Coordinator {
                     "deadline_exceeded",
                     "deadline budget exhausted mid-request",
                 );
-                let resp = self.core.refuse(rid, &spent);
-                return FlightResult {
-                    status: resp.status,
-                    body: resp.body,
-                    run_key: Some(hex),
-                    etag: None,
-                };
+                return self.core.refuse(rid, &spent).with_header("X-Run-Key", &hex);
             };
             let budget = budget.map(|ms| ms.to_string());
             let Some(slot) = self.ring.owner(key, &down) else {
-                let resp = no_workers(rid);
-                return FlightResult {
-                    status: resp.status,
-                    body: resp.body,
-                    run_key: Some(hex),
-                    etag: None,
-                };
+                return no_workers(rid).with_header("X-Run-Key", &hex);
             };
             // Third cache tier: the owning shard's disk may already hold
             // the record — serve it without executing anywhere. A probe
@@ -446,12 +435,9 @@ impl Coordinator {
                 // address is a strong validator, echoed as the ETag
                 // exactly as the worker's own GET would.
                 let etag = format!("\"{hex}\"");
-                return FlightResult {
-                    status: 200,
-                    body: report,
-                    run_key: Some(hex),
-                    etag: Some(etag),
-                };
+                return json_response(200, report)
+                    .with_header("X-Run-Key", &hex)
+                    .with_header("ETag", &etag);
             }
             let tc = trace_context(rid, "run_forward", 0);
             let mut headers = vec![("X-Request-Id", rid), ("X-Trace-Context", tc.as_str())];
@@ -463,16 +449,9 @@ impl Coordinator {
             });
             match forwarded {
                 Ok(resp) => {
-                    let run_key = resp
-                        .header("x-run-key")
-                        .map(str::to_owned)
-                        .or(Some(hex.clone()));
-                    return FlightResult {
-                        status: resp.status,
-                        body: resp.body,
-                        run_key,
-                        etag: None,
-                    };
+                    let run_key = resp.header("x-run-key").unwrap_or(&hex).to_owned();
+                    return json_response(resp.status, resp.body)
+                        .with_header("X-Run-Key", &run_key);
                 }
                 Err(_) => {
                     down[slot] = true;
@@ -483,16 +462,21 @@ impl Coordinator {
     }
 }
 
+/// A JSON response with `body`, no other headers.
+fn json_response(status: u16, body: Vec<u8>) -> Response {
+    Response {
+        status,
+        headers: vec![("Content-Type".into(), "application/json".into())],
+        body,
+        chunked: false,
+        stream: None,
+    }
+}
+
 /// A worker's response replayed verbatim (status + JSON body), plus any
 /// resource-address headers worth keeping.
 fn passthrough(resp: &ClientResponse) -> Response {
-    let mut out = Response {
-        status: resp.status,
-        headers: vec![("Content-Type".into(), "application/json".into())],
-        body: resp.body.clone(),
-        chunked: false,
-        stream: None,
-    };
+    let mut out = json_response(resp.status, resp.body.clone());
     for name in [
         "X-Run-Key",
         "X-Sweep-Key",
@@ -542,24 +526,17 @@ impl Backend for Coordinator {
     fn run(&self, req: &Request, job: &OwnedJobSpec) -> Response {
         let key = run_key(&job.spec());
         let deadline = Deadline::from_request(req);
-        let (result, coalesced) = self.flights.run(key.0, || {
-            self.lead_run(key, &req.body, &req.request_id, deadline)
-        });
+        let rid = &req.request_id;
+        let (resp, coalesced) = self.flights.run(
+            key.0,
+            || self.lead_run(key, &req.body, rid, deadline),
+            |_| {
+                envelope(500, "internal", "handler panicked", None, rid)
+                    .with_header("X-Run-Key", &key.hex())
+            },
+        );
         if coalesced {
             self.flights_coalesced.fetch_add(1, Ordering::Relaxed);
-        }
-        let mut resp = Response {
-            status: result.status,
-            headers: vec![("Content-Type".into(), "application/json".into())],
-            body: result.body,
-            chunked: false,
-            stream: None,
-        };
-        if let Some(k) = &result.run_key {
-            resp = resp.with_header("X-Run-Key", k);
-        }
-        if let Some(etag) = &result.etag {
-            resp = resp.with_header("ETag", etag);
         }
         resp
     }
@@ -605,13 +582,7 @@ impl Backend for Coordinator {
             })
         });
         match rendered {
-            Some(json) => Response {
-                status: 200,
-                headers: vec![("Content-Type".into(), "application/json".into())],
-                body: json.into_bytes(),
-                chunked: false,
-                stream: None,
-            },
+            Some(json) => json_response(200, json.into_bytes()),
             None => fail(
                 req,
                 404,

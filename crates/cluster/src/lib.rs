@@ -6,11 +6,12 @@
 //! fronted by one coordinator speaking the same `/v1` API. The
 //! coordinator owns no engine: it places run keys on workers by
 //! rendezvous hashing ([`ring`]), coalesces concurrent identical
-//! requests ([`flight`]), fans sweeps out shard-wise and merges the
-//! per-worker NDJSON streams back into one deterministic stream, and
-//! treats every worker's disk cache as a cluster-wide **third cache
-//! tier**: before executing anywhere it asks the owning shard whether
-//! the record already exists ([`coordinator`]).
+//! requests (the engine's [`heteropipe_engine::SingleFlight`]), fans
+//! sweeps out shard-wise and merges the per-worker NDJSON streams back
+//! into one deterministic stream, and treats every worker's disk cache
+//! as a cluster-wide **third cache tier**: before executing anywhere it
+//! asks the owning shard whether the record already exists
+//! ([`coordinator`]).
 //!
 //! The cache hierarchy a cluster client sees, cheapest first:
 //!
@@ -25,10 +26,8 @@
 //! node. `docs/cluster.md` covers the topology and failure semantics.
 
 pub mod coordinator;
-pub mod flight;
 pub mod ring;
 pub mod stitch;
 
 pub use coordinator::{serve_cluster, serve_cluster_durable, ClusterConfig, Coordinator};
-pub use flight::{FlightMap, FlightResult};
 pub use ring::WorkerRing;

@@ -24,10 +24,10 @@
 //! a worker log and a span in the merged timeline correlate on the same
 //! id even when the worker journaled the trace under an older request.
 
-use std::collections::{HashMap, VecDeque};
 use std::sync::Mutex;
 
 use heteropipe_obs::chrome::{render_complete, TraceBuilder};
+use heteropipe_obs::FifoMap;
 use heteropipe_serve::json::Json;
 
 /// One coordinator-side span on the stitched timeline.
@@ -192,51 +192,30 @@ fn restamp(ev: &WorkerEvent, pid: u32, offset_us: f64, request_id: &str) -> Stri
     )
 }
 
-#[derive(Default)]
-struct StoreInner {
-    order: VecDeque<String>,
-    map: HashMap<String, StitchPlan>,
-}
-
 /// A bounded FIFO store of [`StitchPlan`]s keyed by cluster sweep key,
 /// mirroring the engine's trace store: inserting past capacity evicts
 /// the oldest plan.
-pub struct StitchStore {
-    cap: usize,
-    inner: Mutex<StoreInner>,
-}
+pub struct StitchStore(Mutex<FifoMap<String, StitchPlan>>);
 
 impl StitchStore {
-    /// A store retaining at most `cap` plans.
+    /// A store retaining at most `cap` plans (clamped to ≥ 1).
     pub fn new(cap: usize) -> StitchStore {
-        StitchStore {
-            cap,
-            inner: Mutex::new(StoreInner::default()),
-        }
+        StitchStore(Mutex::new(FifoMap::new(cap)))
     }
 
     /// Inserts (or replaces) the plan for its sweep key.
     pub fn insert(&self, plan: StitchPlan) {
-        let mut inner = self.inner.lock().unwrap();
-        let key = plan.sweep_key.clone();
-        if inner.map.insert(key.clone(), plan).is_none() {
-            inner.order.push_back(key);
-            while inner.order.len() > self.cap {
-                let evicted = inner.order.pop_front().expect("order non-empty");
-                inner.map.remove(&evicted);
-            }
-        }
+        self.0.lock().unwrap().insert(plan.sweep_key.clone(), plan);
     }
 
     /// Runs `f` over the plan stored for `key_hex`, if any.
     pub fn with<R>(&self, key_hex: &str, f: impl FnOnce(&StitchPlan) -> R) -> Option<R> {
-        let inner = self.inner.lock().unwrap();
-        inner.map.get(key_hex).map(f)
+        self.0.lock().unwrap().get(key_hex).map(f)
     }
 
     /// Number of plans currently held.
     pub fn len(&self) -> usize {
-        self.inner.lock().unwrap().map.len()
+        self.0.lock().unwrap().len()
     }
 
     /// Whether the store holds nothing.

@@ -311,6 +311,77 @@ fn runs_probe_peer_caches_and_proxy_reports() {
     let _ = std::fs::remove_dir_all(&dir_b);
 }
 
+/// A worker that answers every request with a chunked body whose second
+/// chunk claims 2^64 - 1 bytes, then closes: a malformed (or hostile)
+/// upstream response. Returns its address and the accept loop's handle;
+/// set the flag and connect once to stop it.
+fn start_malformed_worker() -> (
+    String,
+    Arc<std::sync::atomic::AtomicBool>,
+    std::thread::JoinHandle<()>,
+) {
+    use std::io::{BufRead, BufReader, Read, Write};
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap().to_string();
+    let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
+    let stopped = Arc::clone(&stop);
+    let handle = std::thread::spawn(move || {
+        for stream in listener.incoming() {
+            if stopped.load(std::sync::atomic::Ordering::SeqCst) {
+                return;
+            }
+            let Ok(stream) = stream else { continue };
+            stream
+                .set_read_timeout(Some(std::time::Duration::from_secs(5)))
+                .unwrap();
+            let mut reader = BufReader::new(stream);
+            let mut body_len = 0;
+            loop {
+                let mut line = String::new();
+                if reader.read_line(&mut line).unwrap_or(0) == 0 || line == "\r\n" {
+                    break;
+                }
+                if let Some((name, value)) = line.split_once(':') {
+                    if name.eq_ignore_ascii_case("content-length") {
+                        body_len = value.trim().parse().unwrap_or(0);
+                    }
+                }
+            }
+            let _ = reader.by_ref().take(body_len).read_to_end(&mut Vec::new());
+            let mut stream = reader.into_inner();
+            let _ = stream.write_all(
+                b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n1\r\na\r\nffffffffffffffff\r\n",
+            );
+            let _ = stream.shutdown(std::net::Shutdown::Write);
+            let _ = stream.read_to_end(&mut Vec::new());
+        }
+    });
+    (addr, stop, handle)
+}
+
+#[test]
+fn a_malformed_worker_response_cannot_wedge_a_run_flight() {
+    let (worker, stop, accept_loop) = start_malformed_worker();
+    let coordinator = start_coordinator(vec![worker.clone()], Arc::new(Injector::disabled()));
+    let body = job("rodinia/kmeans", 0.05);
+    for attempt in 0..2 {
+        let mut client = Client::new(coordinator.addr().to_string())
+            .with_timeout(std::time::Duration::from_secs(5));
+        let resp = client
+            .post_json("/v1/runs", &body)
+            .unwrap_or_else(|e| panic!("request {attempt} got no answer: {e}"));
+        let err = resp
+            .api_error()
+            .unwrap_or_else(|| panic!("request {attempt} is not an envelope"));
+        assert_eq!((resp.status, err.code.as_str()), (503, "no_workers"));
+        assert_eq!(resp.header("retry-after"), Some("1"), "request {attempt}");
+    }
+    coordinator.shutdown_and_join();
+    stop.store(true, std::sync::atomic::Ordering::SeqCst);
+    drop(std::net::TcpStream::connect(&worker));
+    accept_loop.join().unwrap();
+}
+
 #[test]
 fn partition_faults_rehash_to_identical_bytes() {
     let baseline = single_node_records(&sweep_body(), "chaos-baseline");

@@ -1,11 +1,16 @@
 //! Two-tier content-addressed result cache.
 //!
-//! Tier 1 is an in-process map (always on while the cache is enabled); tier
-//! 2 is a directory of `<key>.hpr` files — one [`codec`](crate::codec)
-//! record per run key — that persists results across invocations. Disk
-//! reads that fail for any reason (missing file, torn write, stale format,
-//! bit rot) are treated as misses and the entry is recomputed and
-//! rewritten; the cache never surfaces an error for corrupt content.
+//! Tier 1 is an in-process map (always on while the cache is enabled)
+//! holding one entry per run key: the validated record bytes, the report
+//! decoded from them at most once, and the JSON body rendered on the
+//! first `GET /v1/runs/{key}`. It keeps at most [`MEMORY_CAP`] entries,
+//! evicting the oldest. Tier 2 is a directory of `<key>.hpr` files — one
+//! [`codec`](crate::codec) record per run key — that persists results
+//! across invocations and stays authoritative: an evicted entry reads
+//! back from it. Disk reads that fail for any reason (missing file, torn
+//! write, stale format, bit rot) are treated as misses and the entry is
+//! recomputed and rewritten; the cache never surfaces an error for
+//! corrupt content.
 //!
 //! Writes go through a temp file in the same directory followed by a
 //! rename, so concurrent writers and killed processes leave either the old
@@ -27,20 +32,25 @@
 //!   [`heteropipe_faults::Injector`] into the read and write paths so a
 //!   chaos run can exercise every branch above deterministically.
 
-use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
 use heteropipe::RunReport;
 use heteropipe_faults::{with_retries, FaultKind, Injector, RetryPolicy, Site};
 use heteropipe_obs::log as obs_log;
+use heteropipe_obs::FifoMap;
 
 use crate::codec;
 use crate::key::RunKey;
 
 /// Subdirectory (under the cache dir) holding quarantined corrupt records.
 pub const QUARANTINE_DIR: &str = ".quarantine";
+
+/// Most run keys the memory tier holds. A count bounds the bytes because
+/// entries are near-constant in size: [`RunReport`] holds only
+/// aggregates, so a record runs 0.3–0.4 KB and a rendered body 0.9–1.1 KB.
+pub const MEMORY_CAP: usize = 8192;
 
 /// Where a cache lookup was served from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -74,17 +84,37 @@ pub struct CacheStatsSnapshot {
     pub persist_retries: u64,
     /// Persists abandoned after the retry budget (entry stays memory-only).
     pub persist_failures: u64,
+    /// Entries evicted from the memory tier to stay within [`MEMORY_CAP`].
+    pub evictions: u64,
+}
+
+/// The memory tier's entry for one run key.
+#[derive(Debug)]
+struct Entry {
+    /// The encoded `.hpr` record, validated; shared out as an `Arc` so
+    /// warm byte-level reads clone a pointer, not a record.
+    bytes: Arc<Vec<u8>>,
+    /// The report, set by `put` or decoded from `bytes` on first use.
+    /// `None` inside means the bytes validated but did not decode.
+    report: OnceLock<Option<RunReport>>,
+    /// The `GET /v1/runs/{key}` body, rendered on first use.
+    body: OnceLock<Arc<Vec<u8>>>,
+}
+
+impl Entry {
+    fn report(&self) -> Option<&RunReport> {
+        self.report
+            .get_or_init(|| {
+                heteropipe_obs::profile::time(crate::prof::decode(), || codec::decode(&self.bytes))
+            })
+            .as_ref()
+    }
 }
 
 /// The result cache.
 #[derive(Debug)]
 pub struct ResultCache {
-    memory: Mutex<HashMap<u128, Arc<RunReport>>>,
-    /// Encoded-record tier for the zero-copy warm path: the exact `.hpr`
-    /// bytes per key, shared out as `Arc`s so warm `GET /v1/runs/{key}`
-    /// reads clone a pointer, not a report. Populated on `put` (from the
-    /// bytes just encoded for disk) and on validated disk reads.
-    bytes: Mutex<HashMap<u128, Arc<Vec<u8>>>>,
+    memory: Mutex<FifoMap<u128, Arc<Entry>>>,
     disk_dir: Option<PathBuf>,
     faults: Arc<Injector>,
     retry: RetryPolicy,
@@ -97,8 +127,7 @@ impl ResultCache {
     /// A memory-only cache (no persistence).
     pub fn in_memory() -> Self {
         ResultCache {
-            memory: Mutex::new(HashMap::new()),
-            bytes: Mutex::new(HashMap::new()),
+            memory: Mutex::new(FifoMap::new(MEMORY_CAP)),
             disk_dir: None,
             faults: Arc::new(Injector::disabled()),
             retry: RetryPolicy::DEFAULT,
@@ -146,60 +175,20 @@ impl ResultCache {
             read_errors: self.stats.read_errors.load(Ordering::Relaxed),
             persist_retries: self.stats.persist_retries.load(Ordering::Relaxed),
             persist_failures: self.stats.persist_failures.load(Ordering::Relaxed),
+            evictions: self.memory.lock().unwrap().evictions(),
         }
     }
 
     /// Looks `key` up, reporting which tier served it. Disk records that
     /// fail to decode are quarantined and read as misses.
     pub fn get(&self, key: RunKey) -> Option<(RunReport, CacheTier)> {
-        // Clone the Arc inside the lock and the report outside it: warm
-        // hits contend only for a refcount bump, not a deep copy.
-        let hit = self.memory.lock().unwrap().get(&key.0).map(Arc::clone);
-        if let Some(hit) = hit {
-            return Some(((*hit).clone(), CacheTier::Memory));
-        }
-        let path = self.path_for(key)?;
-
-        let mut corrupt_injected = false;
-        if let Some(fault) = self.faults.roll(Site::CacheRead) {
-            if fault.kind == FaultKind::Corrupt {
-                corrupt_injected = true;
-            } else {
-                self.stats.read_errors.fetch_add(1, Ordering::Relaxed);
-                self.warn_io(key, "read cache file", &fault.io_error());
-                return None;
-            }
-        }
-
-        let mut bytes = match std::fs::read(&path) {
-            Ok(bytes) => bytes,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return None,
-            Err(e) => {
-                self.stats.read_errors.fetch_add(1, Ordering::Relaxed);
-                self.warn_io(key, "read cache file", &e);
-                return None;
-            }
-        };
-        if corrupt_injected {
-            if let Some(b) = bytes.first_mut() {
-                *b ^= 0x40; // flip a magic bit: decode must reject it
-            }
-        }
-        let decoded =
-            heteropipe_obs::profile::time(crate::prof::decode(), || codec::decode(&bytes));
-        match decoded {
-            Some(report) => {
-                self.memory
-                    .lock()
-                    .unwrap()
-                    .insert(key.0, Arc::new(report.clone()));
-                // The bytes just read and verified feed the zero-copy
-                // tier too: the next byte-level read skips the disk.
-                self.bytes.lock().unwrap().insert(key.0, Arc::new(bytes));
-                Some((report, CacheTier::Disk))
-            }
+        let (entry, tier) = self.entry(key)?;
+        match entry.report() {
+            Some(report) => Some((report.clone(), tier)),
             None => {
-                self.quarantine(key, &path);
+                if let Some(path) = self.path_for(key) {
+                    self.quarantine(key, &path);
+                }
                 None
             }
         }
@@ -207,16 +196,51 @@ impl ResultCache {
 
     /// Byte-level lookup for the zero-copy warm path: the encoded `.hpr`
     /// record for `key`, *validated* (magic, version, checksum — see
-    /// [`codec::validate`]) but never decoded. Serving layers that only
-    /// need the raw record — `GET /v1/runs/{key}`, the cluster peer-cache
-    /// probe — skip the full field-by-field decode entirely. Records that
-    /// fail validation are quarantined exactly like decode failures.
+    /// [`codec::validate`]) but never decoded, so a caller that only needs
+    /// the record — or only its existence, like a conditional
+    /// `GET /v1/runs/{key}` — skips the field-by-field decode entirely.
     pub fn get_bytes(&self, key: RunKey) -> Option<(Arc<Vec<u8>>, CacheTier)> {
-        if let Some(hit) = self.bytes.lock().unwrap().get(&key.0) {
-            return Some((Arc::clone(hit), CacheTier::Memory));
-        }
-        let path = self.path_for(key)?;
+        self.entry(key)
+            .map(|(entry, tier)| (Arc::clone(&entry.bytes), tier))
+    }
 
+    /// The body `GET /v1/runs/{key}` serves: `render`ed from the report on
+    /// the first call for an entry, then kept with it.
+    pub fn body(
+        &self,
+        key: RunKey,
+        render: impl FnOnce(&RunReport) -> Vec<u8>,
+    ) -> Option<Arc<Vec<u8>>> {
+        let (entry, _) = self.entry(key)?;
+        let report = entry.report()?;
+        Some(Arc::clone(
+            entry.body.get_or_init(|| Arc::new(render(report))),
+        ))
+    }
+
+    /// The entry for `key`: the memory tier's, or one built from the
+    /// validated disk record and kept in memory from then on.
+    fn entry(&self, key: RunKey) -> Option<(Arc<Entry>, CacheTier)> {
+        if let Some(entry) = self.memory.lock().unwrap().get(&key.0) {
+            return Some((Arc::clone(entry), CacheTier::Memory));
+        }
+        let entry = Arc::new(Entry {
+            bytes: Arc::new(self.read_disk(key)?),
+            report: OnceLock::new(),
+            body: OnceLock::new(),
+        });
+        self.memory
+            .lock()
+            .unwrap()
+            .insert(key.0, Arc::clone(&entry));
+        Some((entry, CacheTier::Disk))
+    }
+
+    /// Reads `key`'s record from disk through the `cache.read` fault seam
+    /// and validates it. A record that fails validation is quarantined;
+    /// it, a missing file and an I/O error all read as `None`.
+    fn read_disk(&self, key: RunKey) -> Option<Vec<u8>> {
+        let path = self.path_for(key)?;
         let mut corrupt_injected = false;
         if let Some(fault) = self.faults.roll(Site::CacheRead) {
             if fault.kind == FaultKind::Corrupt {
@@ -227,7 +251,6 @@ impl ResultCache {
                 return None;
             }
         }
-
         let mut bytes = match std::fs::read(&path) {
             Ok(bytes) => bytes,
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => return None,
@@ -239,14 +262,11 @@ impl ResultCache {
         };
         if corrupt_injected {
             if let Some(b) = bytes.first_mut() {
-                *b ^= 0x40;
+                *b ^= 0x40; // flip a magic bit: validation must reject it
             }
         }
-        let ok = heteropipe_obs::profile::time(crate::prof::validate(), || codec::validate(&bytes));
-        if ok {
-            let arc = Arc::new(bytes);
-            self.bytes.lock().unwrap().insert(key.0, Arc::clone(&arc));
-            Some((arc, CacheTier::Disk))
+        if heteropipe_obs::profile::time(crate::prof::validate(), || codec::validate(&bytes)) {
+            Some(bytes)
         } else {
             self.quarantine(key, &path);
             None
@@ -259,15 +279,15 @@ impl ResultCache {
     /// correctness requirement — but is counted and logged at warn level
     /// so a silently cold cache is diagnosable.
     pub fn put(&self, key: RunKey, report: &RunReport) {
-        self.memory
-            .lock()
-            .unwrap()
-            .insert(key.0, Arc::new(report.clone()));
         let encoded = Arc::new(codec::encode(report));
-        self.bytes
-            .lock()
-            .unwrap()
-            .insert(key.0, Arc::clone(&encoded));
+        self.memory.lock().unwrap().insert(
+            key.0,
+            Arc::new(Entry {
+                bytes: Arc::clone(&encoded),
+                report: OnceLock::from(Some(report.clone())),
+                body: OnceLock::new(),
+            }),
+        );
         let Some(path) = self.path_for(key) else {
             return;
         };
@@ -365,6 +385,14 @@ impl ResultCache {
     pub fn memory_len(&self) -> usize {
         self.memory.lock().unwrap().len()
     }
+
+    /// The same cache with a memory tier of `cap` entries, so tests can
+    /// evict without filling [`MEMORY_CAP`] records on disk.
+    #[cfg(test)]
+    pub(crate) fn with_memory_cap(mut self, cap: usize) -> Self {
+        self.memory = Mutex::new(FifoMap::new(cap));
+        self
+    }
 }
 
 /// Removes `.*.tmp.*` files a crashed writer left in `dir`, returning how
@@ -447,6 +475,46 @@ mod tests {
         let (back, tier) = cache.get(key).unwrap();
         assert_eq!(back, report);
         assert_eq!(tier, CacheTier::Memory);
+    }
+
+    #[test]
+    fn memory_tier_stays_at_its_cap_and_counts_each_eviction() {
+        let (_, report) = sample();
+        let cache = ResultCache::in_memory();
+        for i in 0..MEMORY_CAP as u128 + 3 {
+            cache.put(RunKey(i), &report);
+        }
+        assert_eq!(cache.memory_len(), MEMORY_CAP);
+        assert_eq!(cache.stats().evictions, 3);
+        assert!(cache.get(RunKey(2)).is_none(), "oldest keys evicted");
+        assert_eq!(cache.get(RunKey(3)).unwrap().1, CacheTier::Memory);
+    }
+
+    #[test]
+    fn an_evicted_entry_reads_back_from_disk_byte_identical() {
+        let dir = temp_dir("evict");
+        let (key, report) = sample();
+        let cache = ResultCache::on_disk(&dir).with_memory_cap(1);
+        cache.put(key, &report);
+        let (put_bytes, _) = cache.get_bytes(key).unwrap();
+        let renders = std::cell::Cell::new(0);
+        let render = |r: &RunReport| {
+            renders.set(renders.get() + 1);
+            r.benchmark.clone().into_bytes()
+        };
+        let body = cache.body(key, render).unwrap();
+        assert_eq!(cache.body(key, render).unwrap(), body);
+        assert_eq!(renders.get(), 1, "the body is rendered once per entry");
+
+        cache.put(RunKey(key.0 ^ 1), &report);
+        assert_eq!(cache.stats().evictions, 1);
+        let (back, tier) = cache.get_bytes(key).unwrap();
+        assert_eq!(tier, CacheTier::Disk, "evicted entries read from disk");
+        assert_eq!(back, put_bytes, "byte-identical to the record put");
+        assert_eq!(cache.get(key).unwrap(), (report, CacheTier::Memory));
+        assert_eq!(cache.body(key, render).unwrap(), body);
+        assert_eq!(renders.get(), 2, "a reloaded entry renders afresh");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -17,8 +17,8 @@
 //! * a **batch sweep pipeline** ([`Engine::execute_sweep`]): run keys are
 //!   computed up front, entries sharing a key are deduplicated onto one
 //!   execution, and concurrent identical jobs — within or across batches —
-//!   **single-flight** onto one leader (a condvar-gated slot per in-flight
-//!   key, in front of the cache), with per-sweep accounting
+//!   **single-flight** onto one leader ([`flight::SingleFlight`], in front
+//!   of the cache), with per-sweep accounting
 //!   ([`SweepSummary`]) and streaming per-entry completion records;
 //! * **run metrics** ([`metrics::RunMetrics`]): jobs executed, cache hits
 //!   by tier, simulated time, and wall time, summarized on stderr and
@@ -47,14 +47,15 @@
 pub mod cache;
 pub mod codec;
 pub mod error;
+pub mod flight;
 pub mod journal;
 pub mod key;
 pub mod metrics;
 pub mod sweep;
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::path::PathBuf;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use heteropipe::exec::{panic_message, JobError};
@@ -91,6 +92,7 @@ pub(crate) mod prof {
 
 pub use cache::{CacheTier, ResultCache};
 pub use error::EngineError;
+pub use flight::SingleFlight;
 pub use journal::{Journal, JournalStatsSnapshot, Replay, DEFAULT_JOURNAL_DIR};
 pub use key::{composite_key, run_key, shard_score, RunKey, SCHEMA_VERSION};
 pub use metrics::{MetricsSnapshot, RunMetrics};
@@ -115,41 +117,7 @@ pub struct Engine {
     retry: RetryPolicy,
     watchdog: Option<Duration>,
     poisoned: Mutex<HashSet<u128>>,
-    inflight: Mutex<HashMap<u128, Arc<Flight>>>,
-}
-
-/// A single-flight slot: the first request for a key becomes the leader
-/// and executes; concurrent requests for the same key block on the condvar
-/// and share the leader's published result (success or failure) instead of
-/// re-simulating.
-#[derive(Debug)]
-struct Flight {
-    slot: Mutex<Option<Result<RunReport, EngineError>>>,
-    done: Condvar,
-}
-
-impl Flight {
-    fn new() -> Self {
-        Flight {
-            slot: Mutex::new(None),
-            done: Condvar::new(),
-        }
-    }
-
-    fn publish(&self, result: Result<RunReport, EngineError>) {
-        *self.slot.lock().unwrap() = Some(result);
-        self.done.notify_all();
-    }
-
-    fn wait(&self) -> Result<RunReport, EngineError> {
-        let mut slot = self.slot.lock().unwrap();
-        loop {
-            match &*slot {
-                Some(result) => return result.clone(),
-                None => slot = self.done.wait(slot).unwrap(),
-            }
-        }
-    }
+    flights: SingleFlight<Result<(RunReport, Disposition), EngineError>>,
 }
 
 /// How a job's report was obtained; feeds the trace outcome label and the
@@ -190,7 +158,7 @@ impl Engine {
             retry: RetryPolicy::DEFAULT,
             watchdog: None,
             poisoned: Mutex::new(HashSet::new()),
-            inflight: Mutex::new(HashMap::new()),
+            flights: SingleFlight::new(),
         }
     }
 
@@ -350,7 +318,7 @@ impl Engine {
         request_id: Option<&str>,
         queue_ns: u64,
     ) -> Result<(RunReport, Disposition), EngineError> {
-        let timer = PhaseTimer::with_queue(queue_ns);
+        let mut timer = PhaseTimer::with_queue(queue_ns);
         let key = run_key(job);
 
         if self.poisoned.lock().unwrap().contains(&key.0) {
@@ -365,60 +333,36 @@ impl Engine {
             return Err(EngineError::Quarantined { key_hex: key.hex() });
         }
 
-        let (flight, leader) = self.join_flight(key);
-        if !leader {
-            let mut timer = timer;
-            self.metrics.record_flight_coalesced();
-            let report = timer.time("flight_wait", || flight.wait())?;
-            self.store_trace(key, &report, request_id, "coalesced", timer, Vec::new());
-            self.log_job(
-                obs_log::Level::Debug,
-                "coalesced onto in-flight execution",
-                key,
-                &report,
-                request_id,
-                "coalesced",
-            );
-            return Ok((report, Disposition::Coalesced));
-        }
-
-        // The leader must publish whatever happens, or waiters would hang:
-        // a panic escaping the execution path (the paths below contain
-        // their own, so this is belt-and-braces) becomes a shared error.
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            self.leader_execute(job, key, request_id, timer)
-        }))
-        .unwrap_or_else(|payload| {
-            Err(EngineError::JobPanicked {
-                key_hex: key.hex(),
-                message: panic_message(payload),
-                attempts: 1,
-            })
+        // For a waiter, the time spent in the flight is its wait; the
+        // leader times its own phases.
+        let (result, coalesced) = timer.time("flight_wait", || {
+            self.flights.run(
+                key.0,
+                || self.leader_execute(job, key, request_id, queue_ns),
+                |message| {
+                    Err(EngineError::JobPanicked {
+                        key_hex: key.hex(),
+                        message,
+                        attempts: 1,
+                    })
+                },
+            )
         });
-        self.inflight.lock().unwrap().remove(&key.0);
-        flight.publish(
-            result
-                .as_ref()
-                .map(|(r, _)| r.clone())
-                .map_err(Clone::clone),
-        );
-        result
-    }
-
-    /// Joins the single-flight slot for `key`. The first caller becomes
-    /// the leader (`true`) and owes a publish + removal; later callers
-    /// wait on the returned flight.
-    fn join_flight(&self, key: RunKey) -> (Arc<Flight>, bool) {
-        use std::collections::hash_map::Entry;
-        let mut map = self.inflight.lock().unwrap();
-        match map.entry(key.0) {
-            Entry::Occupied(e) => (Arc::clone(e.get()), false),
-            Entry::Vacant(v) => {
-                let flight = Arc::new(Flight::new());
-                v.insert(Arc::clone(&flight));
-                (flight, true)
-            }
+        if !coalesced {
+            return result;
         }
+        self.metrics.record_flight_coalesced();
+        let (report, _) = result?;
+        self.store_trace(key, &report, request_id, "coalesced", timer, Vec::new());
+        self.log_job(
+            obs_log::Level::Debug,
+            "coalesced onto in-flight execution",
+            key,
+            &report,
+            request_id,
+            "coalesced",
+        );
+        Ok((report, Disposition::Coalesced))
     }
 
     /// The leader's side of a single flight: probe the cache, simulate on
@@ -428,8 +372,9 @@ impl Engine {
         job: &JobSpec<'_>,
         key: RunKey,
         request_id: Option<&str>,
-        mut timer: PhaseTimer,
+        queue_ns: u64,
     ) -> Result<(RunReport, Disposition), EngineError> {
+        let mut timer = PhaseTimer::with_queue(queue_ns);
         if let Some(cache) = &self.cache {
             let probe = timer.time("cache_probe", || {
                 heteropipe_obs::profile::time(prof::cache_probe(), || cache.get(key))
@@ -548,12 +493,26 @@ impl Engine {
     /// record for `key`, validated (magic/version/checksum) but not
     /// decoded, shared as an `Arc`. Warm repeats cost a map lookup and a
     /// pointer clone — no decode, no allocation, no byte copy — which is
-    /// what `GET /v1/runs/{key}` and the cluster peer-cache probe serve.
+    /// how a conditional `GET /v1/runs/{key}` proves the key exists.
     pub fn cached_bytes(&self, key: RunKey) -> Option<Arc<Vec<u8>>> {
         self.cache
             .as_ref()
             .and_then(|cache| cache.get_bytes(key))
             .map(|(bytes, _)| bytes)
+    }
+
+    /// The body `GET /v1/runs/{key}` serves for a cached report: `render`
+    /// runs on the first call for the key and the body is kept with the
+    /// cached record after that (see [`ResultCache::body`]). Like
+    /// [`Engine::cached`], it never executes or bumps hit counters.
+    pub fn cached_body(
+        &self,
+        key: RunKey,
+        render: impl FnOnce(&RunReport) -> Vec<u8>,
+    ) -> Option<Arc<Vec<u8>>> {
+        self.cache
+            .as_ref()
+            .and_then(|cache| cache.body(key, render))
     }
 
     /// One execution attempt: rolls the `job.exec` fault seam, isolates
@@ -1009,6 +968,28 @@ mod tests {
         assert_eq!(m.sweeps, 2);
         assert_eq!(m.sweep_jobs, 6);
         assert_eq!(m.sweep_deduped, 2);
+    }
+
+    #[test]
+    fn an_evicted_key_re_executes_to_the_same_report_without_a_disk() {
+        let p1 = registry::find("rodinia/kmeans")
+            .unwrap()
+            .pipeline(Scale::TEST)
+            .unwrap();
+        let p2 = registry::find("rodinia/srad")
+            .unwrap()
+            .pipeline(Scale::TEST)
+            .unwrap();
+        let cfg = SystemConfig::discrete();
+        let mut engine = Engine::new();
+        engine.cache = Some(ResultCache::in_memory().with_memory_cap(1));
+        let first = engine.execute(&kmeans_spec(&p1, &cfg));
+        engine.execute(&kmeans_spec(&p2, &cfg));
+        assert!(engine.cached(run_key(&kmeans_spec(&p1, &cfg))).is_none());
+        assert_eq!(engine.execute(&kmeans_spec(&p1, &cfg)), first);
+        let m = engine.metrics();
+        assert_eq!(m.jobs_executed, 3, "the evicted key ran again");
+        assert_eq!(m.cache.evictions, 2);
     }
 
     #[test]

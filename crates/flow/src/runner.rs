@@ -17,7 +17,7 @@
 //! transitively skips its dependents, and leaves independent branches
 //! untouched. Failed stages are never memoized.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -25,7 +25,7 @@ use std::time::Instant;
 use heteropipe::exec::par_map;
 use heteropipe_engine::Engine;
 use heteropipe_obs::log as obs_log;
-use heteropipe_obs::{JobTrace, Phase};
+use heteropipe_obs::{FifoMap, JobTrace, Phase};
 
 use crate::graph::{FlowError, StageCtx, StageKind, StageValue, TaskGraph};
 
@@ -138,18 +138,12 @@ pub struct FlowMetricsSnapshot {
     pub stage_failures: u64,
 }
 
-#[derive(Default)]
-struct Journal {
-    order: VecDeque<String>,
-    map: HashMap<String, Arc<WorkflowResult>>,
-}
-
 /// Executes [`TaskGraph`]s against one engine, memoizing stage values by
 /// stage key and journaling results by workflow key.
 pub struct FlowRunner {
     engine: Arc<Engine>,
     memo: Mutex<HashMap<u128, StageValue>>,
-    journal: Mutex<Journal>,
+    journal: Mutex<FifoMap<String, Arc<WorkflowResult>>>,
     metrics: FlowMetrics,
 }
 
@@ -167,7 +161,7 @@ impl FlowRunner {
         FlowRunner {
             engine,
             memo: Mutex::new(HashMap::new()),
-            journal: Mutex::new(Journal::default()),
+            journal: Mutex::new(FifoMap::new(JOURNAL_CAP)),
             metrics: FlowMetrics::default(),
         }
     }
@@ -190,7 +184,7 @@ impl FlowRunner {
     /// The journaled result for a workflow key (lowercase hex), if still
     /// retained.
     pub fn journaled(&self, key_hex: &str) -> Option<Arc<WorkflowResult>> {
-        self.journal.lock().unwrap().map.get(key_hex).cloned()
+        self.journal.lock().unwrap().get(key_hex).cloned()
     }
 
     /// Runs `graph` with no observer.
@@ -455,17 +449,9 @@ impl FlowRunner {
             summary,
             outputs,
         });
-        let mut journal = self.journal.lock().unwrap();
-        if !journal.map.contains_key(&result.key_hex) {
-            journal.order.push_back(result.key_hex.clone());
-            while journal.order.len() > JOURNAL_CAP {
-                if let Some(old) = journal.order.pop_front() {
-                    journal.map.remove(&old);
-                }
-            }
-        }
-        journal
-            .map
+        self.journal
+            .lock()
+            .unwrap()
             .insert(result.key_hex.clone(), Arc::clone(&result));
         Ok(result)
     }

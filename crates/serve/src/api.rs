@@ -28,7 +28,6 @@
 //! remain as deprecated aliases answering identically to their canonical
 //! forms, plus a `Deprecation` header.
 
-use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
 use heteropipe::experiments::{characterize_all_with, fig3, fig456, fig78, fig9, tables};
@@ -66,17 +65,7 @@ pub const MAX_WORKFLOW_STAGES: usize = 32;
 pub struct Api {
     engine: Arc<Engine>,
     core: Core<Api>,
-    /// Rendered report-JSON bodies keyed by run key. The key is a content
-    /// address and `report_json` is deterministic, so a memoized body is
-    /// immutable; warm `GET /v1/runs/{key}` serves it without touching
-    /// the record codec at all (see [`Backend::run_report`]).
-    report_bodies: Mutex<HashMap<u128, Arc<Vec<u8>>>>,
 }
-
-/// Most rendered report bodies the warm `GET /v1/runs/{key}` path
-/// memoizes before the map is cleared wholesale (reports are a few KiB
-/// each, so this bounds the memo near 100 MiB worst case).
-const MAX_MEMOIZED_BODIES: usize = 8192;
 
 impl Api {
     /// An API over `engine`.
@@ -85,7 +74,6 @@ impl Api {
         Arc::new_cyclic(|me| Api {
             engine,
             core: Core::new(me.clone(), flow),
-            report_bodies: Mutex::new(HashMap::new()),
         })
     }
 
@@ -228,21 +216,22 @@ impl Backend for Api {
     /// run, straight from the engine's result cache — no execution, no
     /// cache-metric side effects.
     ///
-    /// The hot path is zero-decode: existence is proven by the engine's
-    /// validated-bytes tier (magic + version + checksum, no field parse),
-    /// the run key doubles as a strong `ETag` (it is a content address
-    /// and [`report_json`] is deterministic), and a warm repeat serves
-    /// the memoized rendered body — or, with a matching `If-None-Match`,
-    /// an empty `304 Not Modified`. Only the first `GET` after a cold
-    /// start pays the record decode.
+    /// The hot path is zero-decode: the run key doubles as a strong
+    /// `ETag` (it is a content address and [`report_json`] is
+    /// deterministic), so a matching `If-None-Match` needs only the
+    /// engine's validated record (magic + version + checksum, no field
+    /// parse) to answer an empty `304 Not Modified`, and a warm repeat
+    /// serves the body the engine keeps with the record. Only the first
+    /// `GET` of a record read from disk pays the decode.
     fn run_report(&self, req: &Request, key: &str) -> Response {
         let parsed = RunKey::from_hex(key).expect("validated by the router");
         let hex = parsed.hex();
-        if self.engine.cached_bytes(parsed).is_none() {
-            return fail(req, 404, "not_found", "no cached report for that run key");
-        }
         let etag = format!("\"{hex}\"");
+        let not_found = || fail(req, 404, "not_found", "no cached report for that run key");
         if if_none_match(req, &etag) {
+            if self.engine.cached_bytes(parsed).is_none() {
+                return not_found();
+            }
             return Response {
                 status: 304,
                 headers: Vec::new(),
@@ -253,21 +242,11 @@ impl Backend for Api {
             .with_header("X-Run-Key", &hex)
             .with_header("ETag", &etag);
         }
-        let memoized = self.report_bodies.lock().unwrap().get(&parsed.0).cloned();
-        let body = match memoized {
-            Some(body) => body,
-            None => {
-                let Some(report) = self.engine.cached(parsed) else {
-                    return fail(req, 404, "not_found", "no cached report for that run key");
-                };
-                let body = Arc::new(report_json(&report).dump().into_bytes());
-                let mut memo = self.report_bodies.lock().unwrap();
-                if memo.len() >= MAX_MEMOIZED_BODIES {
-                    memo.clear();
-                }
-                memo.insert(parsed.0, Arc::clone(&body));
-                body
-            }
+        let Some(body) = self
+            .engine
+            .cached_body(parsed, |report| report_json(report).dump().into_bytes())
+        else {
+            return not_found();
         };
         Response {
             status: 200,
@@ -509,6 +488,11 @@ impl Backend for Api {
             "Cache persists abandoned after the retry budget.",
             e.cache.persist_failures,
         );
+        set(
+            "heteropipe_cache_evictions_total",
+            "Entries evicted from the cache's memory tier to stay within its cap.",
+            e.cache.evictions,
+        );
     }
 
     /// `engine` and `workflows` ahead of the shared fields, `profile`
@@ -554,6 +538,7 @@ impl Backend for Api {
                         "cache_persist_failures".into(),
                         Json::U64(e.cache.persist_failures),
                     ),
+                    ("cache_evictions".into(), Json::U64(e.cache.evictions)),
                 ]),
             ),
         ]);

@@ -7,7 +7,7 @@
 //! out warm connections instead of re-dialing.
 
 use std::collections::HashMap;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::ops::{Deref, DerefMut};
 use std::sync::Mutex;
@@ -178,13 +178,8 @@ impl Client {
         // server between requests; a fresh connection gets a clean answer.
         let reused = self.conn.is_some();
         match self.try_request(method, path, body.as_deref(), extra_headers) {
-            Ok(resp) => Ok(resp),
-            Err(e) if reused => {
-                self.conn = None;
-                let _ = e;
-                self.try_request(method, path, body.as_deref(), extra_headers)
-            }
-            Err(e) => Err(e),
+            Err(_) if reused => self.try_request(method, path, body.as_deref(), extra_headers),
+            result => result,
         }
     }
 
@@ -209,21 +204,27 @@ impl Client {
             head.push_str(&format!("Content-Length: {}\r\n", body.len()));
         }
         head.push_str("\r\n");
-        let stream = conn.get_mut();
-        stream.write_all(head.as_bytes())?;
-        if let Some(body) = body {
-            stream.write_all(body)?;
-        }
-        stream.flush()?;
-
-        let resp = read_response(conn)?;
-        if resp
-            .header("connection")
-            .is_some_and(|v| v.eq_ignore_ascii_case("close"))
-        {
+        let result = (|| {
+            let stream = conn.get_mut();
+            stream.write_all(head.as_bytes())?;
+            if let Some(body) = body {
+                stream.write_all(body)?;
+            }
+            stream.flush()?;
+            read_response(conn)
+        })();
+        // A failed exchange can leave the stream mid-message, and a server
+        // that answered `Connection: close` is done with it: either way
+        // the connection is not reused (nor pooled).
+        let reusable = result.as_ref().is_ok_and(|resp| {
+            !resp
+                .header("connection")
+                .is_some_and(|v| v.eq_ignore_ascii_case("close"))
+        });
+        if !reusable {
             self.conn = None;
         }
-        Ok(resp)
+        result
     }
 }
 
@@ -390,28 +391,39 @@ pub fn read_response(r: &mut impl BufRead) -> std::io::Result<ClientResponse> {
         loop {
             let size_line = read_line(r)?;
             let size_hex = size_line.split(';').next().unwrap_or("").trim();
-            let size = usize::from_str_radix(size_hex, 16).map_err(|_| bad("bad chunk size"))?;
+            let size = u64::from_str_radix(size_hex, 16).map_err(|_| bad("bad chunk size"))?;
             if size == 0 {
                 // Trailers (we send none, but stay correct) then final CRLF.
                 while !read_line(r)?.is_empty() {}
                 break;
             }
-            let start = body.len();
-            body.resize(start + size, 0);
-            r.read_exact(&mut body[start..])?;
+            read_body(r, size, &mut body)?;
             let mut crlf = [0u8; 2];
             r.read_exact(&mut crlf)?;
         }
     } else if let Some(len) = find("content-length") {
-        let len: usize = len.parse().map_err(|_| bad("bad content-length"))?;
-        body.resize(len, 0);
-        r.read_exact(&mut body)?;
+        let len: u64 = len.parse().map_err(|_| bad("bad content-length"))?;
+        read_body(r, len, &mut body)?;
     }
     Ok(ClientResponse {
         status,
         headers,
         body,
     })
+}
+
+/// Appends exactly `n` body bytes from `r` to `body`. The buffer grows
+/// only with the bytes that arrive, so a size the peer claims is never
+/// allocated up front; fewer than `n` bytes before EOF is an error.
+fn read_body(r: &mut impl BufRead, n: u64, body: &mut Vec<u8>) -> std::io::Result<()> {
+    let got = r.take(n).read_to_end(body)?;
+    if (got as u64) < n {
+        return Err(std::io::Error::new(
+            std::io::ErrorKind::UnexpectedEof,
+            "response body ended early",
+        ));
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -445,6 +457,62 @@ mod tests {
             }
         });
         (addr, handle)
+    }
+
+    fn parse(raw: &[u8]) -> std::io::Result<ClientResponse> {
+        read_response(&mut std::io::Cursor::new(raw))
+    }
+
+    #[test]
+    fn an_overflowing_chunk_size_is_an_error_not_a_panic() {
+        let raw =
+            b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n1\r\na\r\nffffffffffffffff\r\n";
+        let err = parse(raw).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::UnexpectedEof, "{err}");
+        let raw = b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n1ffffffffffffffff\r\n";
+        assert_eq!(
+            parse(raw).unwrap_err().kind(),
+            std::io::ErrorKind::InvalidData
+        );
+        let raw = b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n2;x=y\r\nok\r\n0\r\n\r\n";
+        assert_eq!(
+            parse(raw).unwrap().body,
+            b"ok",
+            "well-framed chunks still read"
+        );
+    }
+
+    #[test]
+    fn a_claimed_length_is_not_allocated_before_it_arrives() {
+        let mut raw = b"HTTP/1.1 200 OK\r\nContent-Length: 1099511627776\r\n\r\n".to_vec();
+        raw.extend_from_slice(b"0123456789");
+        let err = parse(&raw).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::UnexpectedEof, "{err}");
+        let raw = b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nok";
+        assert_eq!(parse(raw).unwrap().body, b"ok");
+    }
+
+    #[test]
+    fn a_failed_response_read_drops_the_connection() {
+        // The server keeps the connection open after a malformed answer,
+        // so only the client can stop it from being reused.
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let server = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().unwrap();
+            let mut buf = [0u8; 1024];
+            let _ = stream.read(&mut buf);
+            let resp = b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\nzz\r\n";
+            stream.write_all(resp).unwrap();
+            // Hold the socket until the client has read and given up.
+            let _ = stream.read(&mut buf);
+        });
+        let mut client = Client::new(&addr).with_timeout(Duration::from_secs(5));
+        let err = client.get("/healthz").unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
+        assert!(!client.has_connection(), "half-read stream dropped");
+        drop(client);
+        server.join().unwrap();
     }
 
     #[test]
