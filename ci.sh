@@ -81,8 +81,8 @@ cargo test -q --release -p heteropipe-cluster --test cluster coordinator_sigkill
 
 # Cluster smoke: one coordinator over two loopback workers. A cold sweep
 # must shard across both workers and answer byte-identically to a single
-# node, a warm repeat must be served entirely from peer disk caches with
-# zero executions, and a worker torn down mid-sweep (dropped response,
+# node, a warm repeat must be served entirely from the workers' caches
+# with zero executions, and a worker torn down mid-sweep (dropped response,
 # then a real shutdown) must rehash and self-heal without changing a
 # single record byte (docs/cluster.md).
 HETEROPIPE_LOG=error cargo run --release -p heteropipe-bench --bin cluster_smoke -- --scale 0.05

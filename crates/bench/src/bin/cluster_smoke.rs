@@ -5,7 +5,7 @@
 //!
 //! 1. a cold sweep shards across both workers and its records are
 //!    byte-identical to the same sweep on a single node;
-//! 2. a warm repeat is answered entirely by the peer cache tier — zero
+//! 2. a warm repeat is answered entirely from the workers' caches — zero
 //!    executions anywhere;
 //! 3. a worker that drops its connection mid-sweep and then dies
 //!    outright costs rehashes, never a wrong or missing record.
@@ -244,13 +244,14 @@ fn main() {
     }
     println!("cluster_smoke: federated /metrics parses with worker-labeled series");
 
-    // 2. Warm repeat: the peer tier answers everything, nothing executes.
+    // 2. Warm repeat: the owners' caches answer everything, nothing
+    // executes.
     let resp = client.post_json("/v1/sweeps", &body).expect("warm sweep");
     assert_eq!(resp.status, 200);
     assert_eq!(record_lines(&resp.body), baseline, "warm sweep records");
     assert_eq!(summary_field(&resp.body, "executed"), 0, "warm executes");
-    assert_eq!(summary_field(&resp.body, "peer_cache_hits"), 5);
-    println!("cluster_smoke: warm repeat served from peer caches, zero executions");
+    assert_eq!(summary_field(&resp.body, "cache_hits"), 5);
+    println!("cluster_smoke: warm repeat served from the workers' caches, zero executions");
 
     coordinator.shutdown_and_join();
     wa.shutdown_and_join();

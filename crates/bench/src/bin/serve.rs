@@ -12,8 +12,8 @@
 //! With `--worker --cache-dir <path>` the same binary serves as one
 //! worker of a `heteropipe-cluster` coordinator: the API is identical,
 //! the role is logged for supervisors, and the disk cache points at the
-//! worker's own shard directory (a coordinator treats it as the cluster's
-//! third cache tier).
+//! worker's own shard directory (the one copy of the records the
+//! coordinator places on this worker).
 
 use std::sync::Arc;
 use std::time::Duration;

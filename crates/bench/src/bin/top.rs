@@ -1,13 +1,13 @@
 //! `top`: a live text dashboard over a running coordinator.
 //!
-//! Polls `GET /metrics` (the JSON view, for breaker states and the peer
-//! cache tier), `GET /metrics?format=prometheus` (the federated
-//! exposition, for per-worker counters and latency histograms) and
-//! `GET /v1/debug/profile` (the always-on phase profiler) once per
-//! interval, and renders per-worker request rates, latency percentiles,
-//! cache and peer-hit ratios, breaker states, and the hottest profiled
-//! phases. Also works against a plain single-node server: the unlabeled
-//! series become one `(local)` row and the cluster table is omitted.
+//! Polls `GET /metrics` (the JSON view, for breaker states),
+//! `GET /metrics?format=prometheus` (the federated exposition, for
+//! per-worker counters and latency histograms) and `GET /v1/debug/profile`
+//! (the always-on phase profiler) once per interval, and renders
+//! per-worker request rates, latency percentiles, cache-hit ratios,
+//! breaker states, and the hottest profiled phases. Also works against a
+//! plain single-node server: the unlabeled series become one `(local)`
+//! row and the cluster table is omitted.
 //!
 //! ```text
 //! cargo run --release -p heteropipe-bench --bin top -- \
@@ -214,17 +214,17 @@ fn render_frame(
     }
 
     // Per-worker table: rates and latency from the federated exposition,
-    // breaker and peer tier from the cluster JSON block.
+    // breaker state from the cluster JSON block.
     let cluster_workers = metrics
         .get("cluster")
         .and_then(|c| c.get("workers"))
         .and_then(Json::as_array);
     println!(
-        "  {:<22} {:>8} {:>9} {:>9} {:>6} {:>6}  breaker",
-        "worker", "req/s", "p50", "p99", "cache", "peer"
+        "  {:<22} {:>8} {:>9} {:>9} {:>6}  breaker",
+        "worker", "req/s", "p50", "p99", "cache"
     );
     for (key, v) in views {
-        let (label, breaker, peer) = match cluster_workers {
+        let (label, breaker) = match cluster_workers {
             Some(workers) => {
                 let w = workers
                     .iter()
@@ -233,31 +233,22 @@ fn render_frame(
                     .and_then(|w| w.get("breaker"))
                     .and_then(Json::as_str)
                     .unwrap_or("-");
-                let hits = w
-                    .and_then(|w| w.get("peer_hits"))
-                    .and_then(Json::as_u64)
-                    .unwrap_or(0) as f64;
-                let misses = w
-                    .and_then(|w| w.get("peer_misses"))
-                    .and_then(Json::as_u64)
-                    .unwrap_or(0) as f64;
                 if key.is_empty() {
                     // The coordinator's own unlabeled series — covered
                     // by the aggregate line above.
                     continue;
                 }
-                (key.clone(), breaker, ratio(hits, misses))
+                (key.clone(), breaker)
             }
-            None => ("(local)".to_string(), "-", "   -".to_string()),
+            None => ("(local)".to_string(), "-"),
         };
         println!(
-            "  {:<22} {:>8.1} {:>9} {:>9} {:>6} {:>6}  {}",
+            "  {:<22} {:>8.1} {:>9} {:>9} {:>6}  {}",
             label,
             rates.get(key).copied().unwrap_or(0.0),
             fmt_us(bucket_percentile(&v.latency_buckets, 0.50)),
             fmt_us(bucket_percentile(&v.latency_buckets, 0.99)),
             ratio(v.cache_hits, v.cache_misses),
-            peer,
             breaker,
         );
     }

@@ -3,8 +3,8 @@
 //! Workers are ordinary `serve` processes (see `heteropipe-bench`'s
 //! `serve --worker`), each with its own engine and disk cache. The
 //! coordinator speaks the same `/v1` API, places keys by rendezvous
-//! hashing, merges sweep streams deterministically, and uses the
-//! workers' disk caches as a cluster-wide third cache tier.
+//! hashing, forwards each key to its owner (whose own caches answer
+//! repeats) and merges sweep streams deterministically.
 //!
 //! ```text
 //! cargo run --release -p heteropipe-cluster --bin coordinator -- \
@@ -94,7 +94,7 @@ fn main() {
     }
 
     // One injector feeds both the server seams (serve.read/serve.write)
-    // and the cluster seams (cluster.probe/cluster.forward).
+    // and the cluster seam (cluster.forward).
     let faults = Arc::new(
         heteropipe_faults::Injector::from_env()
             .unwrap_or_else(|e| panic!("bad {}: {e}", heteropipe_faults::ENV_VAR)),

@@ -1,10 +1,10 @@
 //! The coordinator: a `heteropipe-serve`-compatible front door that owns
 //! no engine of its own. Run keys place work on a static worker set via
 //! rendezvous hashing ([`crate::ring`]), sweeps fan out shard-wise and
-//! merge back into one deterministic NDJSON stream, and every worker's
-//! disk cache doubles as a cluster-wide third cache tier: before placing
-//! work anywhere, the coordinator asks the owning shard for a cached
-//! record (`GET /v1/runs/{key}` is side-effect-free on the worker).
+//! merge back into one deterministic NDJSON stream. Each run key has one
+//! owner, so the owner's own result cache (memory, then disk) answers a
+//! repeat: the coordinator makes one call per run and one per sweep shard,
+//! and never looks a key up anywhere else.
 //!
 //! [`Coordinator`] is a [`Backend`] of serve's request core
 //! ([`heteropipe_serve::front`]), which routes, admits, journals async
@@ -19,13 +19,13 @@
 //! keys onto the survivors — so a mid-sweep worker death re-executes only
 //! that worker's shard, and the merged stream stays byte-identical to a
 //! fault-free run because records carry no timing and placement is
-//! deterministic. The `cluster.probe` and `cluster.forward` fault sites
-//! let `heteropipe-faults` inject partitions and slow workers at the
-//! exact seams real networks fail on.
+//! deterministic. The `cluster.forward` fault site lets
+//! `heteropipe-faults` inject partitions and slow workers at the exact
+//! seam real networks fail on.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use heteropipe_engine::{run_key, Engine, Journal, RunKey, SingleFlight};
@@ -67,7 +67,6 @@ mod cprof {
         };
     }
 
-    phase_slot!(probe, "cluster.peer_probe");
     phase_slot!(forward, "cluster.forward");
     phase_slot!(merge, "cluster.merge");
 }
@@ -81,12 +80,6 @@ fn trace_context(rid: &str, parent: &str, offset_us: u64) -> String {
     format!("trace={rid};parent={parent};offset_us={offset_us}")
 }
 
-/// Concurrent peer-cache probes per shard. The client pool keeps idle
-/// connections per host, so probing a shard's keys in parallel costs a
-/// few extra sockets and removes the serialized round-trip chain that
-/// docs/observability.md measured as the cluster's dominant overhead.
-const PROBE_CONCURRENCY: usize = 8;
-
 /// Coordinator tuning knobs.
 #[derive(Clone)]
 pub struct ClusterConfig {
@@ -97,7 +90,7 @@ pub struct ClusterConfig {
     pub breaker: BreakerConfig,
     /// I/O timeout for coordinator→worker calls.
     pub timeout: Duration,
-    /// Fault injector for the `cluster.probe` / `cluster.forward` seams.
+    /// Fault injector for the `cluster.forward` seam.
     pub faults: Arc<Injector>,
 }
 
@@ -117,8 +110,6 @@ struct WorkerState {
     addr: String,
     breaker: CircuitBreaker,
     forwarded: AtomicU64,
-    peer_hits: AtomicU64,
-    peer_misses: AtomicU64,
     failures: AtomicU64,
     scrape_errors: AtomicU64,
     fwd_us: HistogramHandle,
@@ -129,8 +120,8 @@ pub struct Coordinator {
     ring: WorkerRing,
     workers: Vec<WorkerState>,
     pool: ClientPool,
-    /// Concurrent identical `POST /v1/runs` coalesce onto one probe and
-    /// forward; the flight's answer is replayed to every caller.
+    /// Concurrent identical `POST /v1/runs` coalesce onto one forward;
+    /// the flight's answer is replayed to every caller.
     flights: SingleFlight<Response>,
     faults: Arc<Injector>,
     /// The request core's state. Its flow runner runs inline workflow
@@ -173,8 +164,6 @@ impl Coordinator {
                 addr: addr.clone(),
                 breaker: CircuitBreaker::new(cfg.breaker),
                 forwarded: AtomicU64::new(0),
-                peer_hits: AtomicU64::new(0),
-                peer_misses: AtomicU64::new(0),
                 failures: AtomicU64::new(0),
                 scrape_errors: AtomicU64::new(0),
                 fwd_us: HistogramHandle::default(),
@@ -288,42 +277,6 @@ impl Coordinator {
             .collect()
     }
 
-    /// Peer-cache probe: asks `slot` for a cached report. `Ok(Some(body))`
-    /// is a hit, `Ok(None)` a miss; transport errors propagate so the
-    /// caller can decide whether to mask the worker. `offset_us` is the
-    /// coordinator-side send offset carried in `X-Trace-Context`;
-    /// `budget` the remaining deadline to forward as `X-Deadline-Ms`.
-    fn probe_peer(
-        &self,
-        slot: usize,
-        hex: &str,
-        rid: &str,
-        offset_us: u64,
-        budget: Option<&str>,
-    ) -> std::io::Result<Option<Vec<u8>>> {
-        let path = format!("/v1/runs/{hex}");
-        let tc = trace_context(rid, "peer_probe", offset_us);
-        let mut headers = vec![("X-Request-Id", rid), ("X-Trace-Context", tc.as_str())];
-        if let Some(ms) = budget {
-            headers.push(("X-Deadline-Ms", ms));
-        }
-        let t0 = Instant::now();
-        let resp = self.call_worker(slot, Site::ClusterProbe, |c| {
-            c.get_with_headers(&path, &headers)
-        });
-        heteropipe_obs::profile::record(cprof::probe(), t0.elapsed().as_nanos() as u64);
-        let resp = resp?;
-        if resp.status == 200 {
-            self.workers[slot].peer_hits.fetch_add(1, Ordering::Relaxed);
-            Ok(Some(resp.body))
-        } else {
-            self.workers[slot]
-                .peer_misses
-                .fetch_add(1, Ordering::Relaxed);
-            Ok(None)
-        }
-    }
-
     /// Sends `req` on to the worker `pick` chooses under the
     /// request-local down mask, walking on to the next choice as workers
     /// fail in transport. `Err` is the envelope to answer instead: the
@@ -364,11 +317,18 @@ impl Coordinator {
     }
 
     /// Forwards a GET for `path` to the worker owning `key` (reports,
-    /// traces and named workflows live where they ran).
+    /// traces and named workflows live where they ran). A conditional
+    /// `If-None-Match` travels with it, so the owner's 304 comes back.
     fn proxy_to_owner(&self, req: &Request, key: &str, path: &str) -> Response {
         let key = RunKey::from_hex(key).expect("validated by the router");
         let owner = |down: &[bool]| self.ring.owner(key, down);
-        match self.forward(req, "proxy", owner, |c, h| c.get_with_headers(path, h)) {
+        let if_none_match = req.header("if-none-match");
+        let get = |c: &mut Client, h: &[(&str, &str)]| {
+            let mut h = h.to_vec();
+            h.extend(if_none_match.map(|v| ("If-None-Match", v)));
+            c.get_with_headers(path, &h)
+        };
+        match self.forward(req, "proxy", owner, get) {
             Ok(resp) => passthrough(&resp),
             Err(refusal) => refusal,
         }
@@ -408,58 +368,6 @@ impl Coordinator {
         }
         out
     }
-
-    /// The leader's side of a run flight: peer probe, then forward.
-    fn lead_run(&self, key: RunKey, raw: &[u8], rid: &str, deadline: Deadline) -> Response {
-        let hex = key.hex();
-        let mut down = self.down_mask();
-        loop {
-            let Ok(budget) = deadline.remaining_ms() else {
-                let spent = SpecError::new(
-                    504,
-                    "deadline_exceeded",
-                    "deadline budget exhausted mid-request",
-                );
-                return self.core.refuse(rid, &spent).with_header("X-Run-Key", &hex);
-            };
-            let budget = budget.map(|ms| ms.to_string());
-            let Some(slot) = self.ring.owner(key, &down) else {
-                return no_workers(rid).with_header("X-Run-Key", &hex);
-            };
-            // Third cache tier: the owning shard's disk may already hold
-            // the record — serve it without executing anywhere. A probe
-            // transport error is not yet a verdict on the worker; the
-            // forward below decides whether to rehash.
-            if let Ok(Some(report)) = self.probe_peer(slot, &hex, rid, 0, budget.as_deref()) {
-                // The peer tier served validated bytes; the content
-                // address is a strong validator, echoed as the ETag
-                // exactly as the worker's own GET would.
-                let etag = format!("\"{hex}\"");
-                return json_response(200, report)
-                    .with_header("X-Run-Key", &hex)
-                    .with_header("ETag", &etag);
-            }
-            let tc = trace_context(rid, "run_forward", 0);
-            let mut headers = vec![("X-Request-Id", rid), ("X-Trace-Context", tc.as_str())];
-            if let Some(ms) = budget.as_deref() {
-                headers.push(("X-Deadline-Ms", ms));
-            }
-            let forwarded = self.call_worker(slot, Site::ClusterForward, |c| {
-                c.post_raw_with_headers("/v1/runs", raw.to_vec(), &headers)
-            });
-            match forwarded {
-                Ok(resp) => {
-                    let run_key = resp.header("x-run-key").unwrap_or(&hex).to_owned();
-                    return json_response(resp.status, resp.body)
-                        .with_header("X-Run-Key", &run_key);
-                }
-                Err(_) => {
-                    down[slot] = true;
-                    self.rehashes.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-        }
-    }
 }
 
 /// A JSON response with `body`, no other headers.
@@ -474,9 +382,13 @@ fn json_response(status: u16, body: Vec<u8>) -> Response {
 }
 
 /// A worker's response replayed verbatim (status + JSON body), plus any
-/// resource-address headers worth keeping.
+/// resource-address headers worth keeping. A 304 has no body, so it goes
+/// out without a content type, as the worker sent it.
 fn passthrough(resp: &ClientResponse) -> Response {
     let mut out = json_response(resp.status, resp.body.clone());
+    if resp.status == 304 {
+        out.headers.clear();
+    }
     for name in [
         "X-Run-Key",
         "X-Sweep-Key",
@@ -520,19 +432,25 @@ impl Backend for Coordinator {
     }
 
     /// `POST /v1/runs`: coalesce concurrent identical requests onto one
-    /// flight, probe the owning shard's cache (the peer tier), and only
-    /// then forward the raw body to the owner — rehashing to the next
+    /// flight and forward the raw body to the key's owner, whose engine
+    /// answers a repeat from its own cache — rehashing to the next
     /// scorer when the owner is unreachable.
     fn run(&self, req: &Request, job: &OwnedJobSpec) -> Response {
         let key = run_key(&job.spec());
-        let deadline = Deadline::from_request(req);
-        let rid = &req.request_id;
+        let hex = key.hex();
+        let owner = |down: &[bool]| self.ring.owner(key, down);
+        let post = |c: &mut Client, h: &[(&str, &str)]| {
+            c.post_raw_with_headers("/v1/runs", req.body.clone(), h)
+        };
         let (resp, coalesced) = self.flights.run(
             key.0,
-            || self.lead_run(key, &req.body, rid, deadline),
+            || match self.forward(req, "run_forward", owner, post) {
+                Ok(resp) => passthrough(&resp),
+                Err(refusal) => refusal.with_header("X-Run-Key", &hex),
+            },
             |_| {
-                envelope(500, "internal", "handler panicked", None, rid)
-                    .with_header("X-Run-Key", &key.hex())
+                envelope(500, "internal", "handler panicked", None, &req.request_id)
+                    .with_header("X-Run-Key", &hex)
             },
         );
         if coalesced {
@@ -657,22 +575,10 @@ impl Backend for Coordinator {
             let labels: &[(&str, &str)] = &[("worker", w.addr.as_str())];
             r.counter_with(
                 "heteropipe_cluster_forwarded_total",
-                "Coordinator calls answered by this worker (probes and forwards).",
+                "Coordinator calls answered by this worker.",
                 labels,
             )
             .set(w.forwarded.load(Relaxed));
-            r.counter_with(
-                "heteropipe_cluster_peer_cache_hits_total",
-                "Peer-cache probes answered from this worker's disk cache.",
-                labels,
-            )
-            .set(w.peer_hits.load(Relaxed));
-            r.counter_with(
-                "heteropipe_cluster_peer_cache_misses_total",
-                "Peer-cache probes this worker answered with a miss.",
-                labels,
-            )
-            .set(w.peer_misses.load(Relaxed));
             r.counter_with(
                 "heteropipe_cluster_worker_failures_total",
                 "Coordinator calls to this worker that failed in transport.",
@@ -734,8 +640,6 @@ impl Backend for Coordinator {
                     ("addr".into(), Json::str(w.addr.clone())),
                     ("breaker".into(), Json::str(w.breaker.state_name())),
                     ("forwarded".into(), Json::U64(w.forwarded.load(Relaxed))),
-                    ("peer_hits".into(), Json::U64(w.peer_hits.load(Relaxed))),
-                    ("peer_misses".into(), Json::U64(w.peer_misses.load(Relaxed))),
                     ("failures".into(), Json::U64(w.failures.load(Relaxed))),
                 ])
             })
@@ -812,7 +716,6 @@ struct ClusterSweepSummary {
     jobs_unique: u64,
     duplicates: u64,
     cache_hits: u64,
-    peer_cache_hits: u64,
     executed: u64,
     coalesced: u64,
     failed: u64,
@@ -830,7 +733,6 @@ impl ClusterSweepSummary {
                 ("jobs_unique".into(), Json::U64(self.jobs_unique)),
                 ("duplicates".into(), Json::U64(self.duplicates)),
                 ("cache_hits".into(), Json::U64(self.cache_hits)),
-                ("peer_cache_hits".into(), Json::U64(self.peer_cache_hits)),
                 ("executed".into(), Json::U64(self.executed)),
                 ("coalesced".into(), Json::U64(self.coalesced)),
                 ("failed".into(), Json::U64(self.failed)),
@@ -865,24 +767,23 @@ fn render_record(index: usize, hex: &str, status: &str, deduped: bool, payload: 
 }
 
 /// What a shard call resolved: per unique-key payloads plus the worker
-/// summary's execution accounting, and the coordinator-side spans and
+/// summary's execution accounting, and the coordinator-side span and
 /// stitch metadata trace stitching needs (see `crate::stitch`).
 struct ShardOutcome {
     resolved: Vec<(usize, String, String)>,
     cache_hits: u64,
     executed: u64,
     coalesced: u64,
-    peer_hits: u64,
-    spans: Vec<CoordSpan>,
-    stitch: Option<StitchShard>,
+    span: CoordSpan,
+    stitch: StitchShard,
 }
 
 impl Coordinator {
     /// The sweep core behind `POST /v1/sweeps`, async sweeps and inline
-    /// workflow stages: dedup to unique keys, probe/execute per shard with
-    /// rehash-on-failure, and reassemble global records (sorted by global
-    /// submission index). A spent deadline aborts the sweep with a 504
-    /// before any record exists.
+    /// workflow stages: dedup to unique keys, one worker sweep per shard
+    /// with rehash-on-failure, and reassemble global records (sorted by
+    /// global submission index). A spent deadline aborts the sweep with a
+    /// 504 before any record exists.
     fn cluster_sweep(
         &self,
         job: &Arc<SweepJob>,
@@ -922,7 +823,7 @@ impl Coordinator {
         let mut pending: Vec<usize> = (0..unique.len()).collect();
         let mut down = self.down_mask();
         let mut rehashes = 0u64;
-        let (mut cache_hits, mut peer_hits, mut executed, mut coalesced) = (0u64, 0u64, 0u64, 0u64);
+        let (mut cache_hits, mut executed, mut coalesced) = (0u64, 0u64, 0u64);
 
         while !pending.is_empty() {
             // A spent deadline aborts the remaining shards: the caller
@@ -985,11 +886,10 @@ impl Coordinator {
                 match outcome {
                     Ok(shard) => {
                         cache_hits += shard.cache_hits;
-                        peer_hits += shard.peer_hits;
                         executed += shard.executed;
                         coalesced += shard.coalesced;
-                        spans.extend(shard.spans);
-                        stitch_shards.extend(shard.stitch);
+                        spans.push(shard.span);
+                        stitch_shards.push(shard.stitch);
                         for (u, status, payload) in shard.resolved {
                             resolved[u] = Some((status, payload));
                         }
@@ -1046,7 +946,6 @@ impl Coordinator {
                 jobs_unique,
                 duplicates: jobs_total - jobs_unique,
                 cache_hits,
-                peer_cache_hits: peer_hits,
                 executed,
                 coalesced,
                 failed,
@@ -1056,10 +955,10 @@ impl Coordinator {
         })
     }
 
-    /// One shard's share of a sweep: probe the peer cache per key — up to
-    /// [`PROBE_CONCURRENCY`] probes in flight at once — then POST the
-    /// misses as a worker-local sweep and split its records. Any
-    /// transport error fails the whole shard (the caller rehashes).
+    /// One shard's share of a sweep: POST the shard's unique keys as one
+    /// worker-local sweep, whose engine answers cached keys from its own
+    /// memory or disk tier and executes the rest, then split its records.
+    /// Any transport error fails the whole shard (the caller rehashes).
     #[allow(clippy::too_many_arguments)]
     fn run_shard(
         &self,
@@ -1071,93 +970,7 @@ impl Coordinator {
         t0: &Instant,
         deadline: Deadline,
     ) -> std::io::Result<ShardOutcome> {
-        let tid = 1 + slot as u32;
-        let mut outcome = ShardOutcome {
-            resolved: Vec::with_capacity(uidxs.len()),
-            cache_hits: 0,
-            executed: 0,
-            coalesced: 0,
-            peer_hits: 0,
-            spans: Vec::new(),
-            stitch: None,
-        };
-        // Probe the shard's keys concurrently. Serialized probes chained
-        // one worker round-trip per key onto the critical path — the
-        // dominant coordinator overhead on cache-warm sweeps (see
-        // docs/observability.md §7); the pool opens one connection per
-        // in-flight probe and keeps them for the next shard.
-        type Probed = (usize, f64, f64, std::io::Result<Option<Vec<u8>>>);
-        let probes: Vec<Probed> = {
-            let cursor = AtomicUsize::new(0);
-            let collected: Mutex<Vec<Probed>> = Mutex::new(Vec::with_capacity(uidxs.len()));
-            std::thread::scope(|scope| {
-                for _ in 0..PROBE_CONCURRENCY.min(uidxs.len()) {
-                    scope.spawn(|| loop {
-                        let i = cursor.fetch_add(1, Ordering::Relaxed);
-                        let Some(&u) = uidxs.get(i) else { break };
-                        let hex = unique[u].0.hex();
-                        let probe_ts = t0.elapsed().as_micros() as f64;
-                        let probed = match deadline.remaining_ms() {
-                            Err(_) => Err(std::io::Error::new(
-                                std::io::ErrorKind::TimedOut,
-                                "deadline budget exhausted before peer probe",
-                            )),
-                            Ok(budget) => {
-                                let budget = budget.map(|ms| ms.to_string());
-                                self.probe_peer(slot, &hex, rid, probe_ts as u64, budget.as_deref())
-                            }
-                        };
-                        let dur = t0.elapsed().as_micros() as f64 - probe_ts;
-                        collected.lock().unwrap().push((i, probe_ts, dur, probed));
-                    });
-                }
-            });
-            let mut v = collected.into_inner().unwrap();
-            v.sort_by_key(|p| p.0);
-            v
-        };
-        let mut misses = Vec::new();
-        for (i, probe_ts, dur, probed) in probes {
-            let u = uidxs[i];
-            let probed = probed?;
-            outcome.spans.push(CoordSpan {
-                name: "peer_probe".into(),
-                tid,
-                ts_us: probe_ts,
-                dur_us: dur,
-                args: vec![
-                    ("run_key".into(), unique[u].0.hex()),
-                    ("hit".into(), probed.is_some().to_string()),
-                ],
-            });
-            match probed {
-                Some(report) => {
-                    // Embed the worker's report bytes verbatim; the peer
-                    // tier must answer byte-identically to execution.
-                    let body = String::from_utf8(report).map_err(|_| {
-                        std::io::Error::new(std::io::ErrorKind::InvalidData, "non-UTF-8 report")
-                    })?;
-                    outcome
-                        .resolved
-                        .push((u, "ok".to_string(), format!("\"report\":{body}}}")));
-                    outcome.peer_hits += 1;
-                }
-                None => misses.push(u),
-            }
-        }
-        if misses.is_empty() {
-            // Every key was a peer hit: the lane exists on the stitched
-            // timeline but there is no worker-side trace to pull.
-            outcome.stitch = Some(StitchShard {
-                slot,
-                addr: self.workers[slot].addr.clone(),
-                worker_sweep_key: None,
-                offset_us: 0.0,
-            });
-            return Ok(outcome);
-        }
-
-        let jobs: Vec<String> = misses
+        let jobs: Vec<String> = uidxs
             .iter()
             .map(|&u| entries[unique[u].1[0]].dump())
             .collect();
@@ -1193,7 +1006,8 @@ impl Coordinator {
         }
         let text =
             std::str::from_utf8(&resp.body).map_err(|_| shard_error("non-UTF-8 sweep stream"))?;
-        let mut seen = 0usize;
+        let (mut resolved, mut cache_hits, mut executed, mut coalesced) =
+            (Vec::with_capacity(uidxs.len()), 0, 0, 0);
         let mut worker_wall_ms = 0u64;
         for line in text.lines().filter(|l| !l.trim().is_empty()) {
             if let Some(rest) = line.strip_prefix("{\"sweep\":") {
@@ -1208,47 +1022,52 @@ impl Coordinator {
                         .and_then(Json::as_u64)
                         .unwrap_or(0)
                 };
-                outcome.cache_hits += field("cache_hits");
-                outcome.executed += field("executed");
-                outcome.coalesced += field("coalesced");
+                cache_hits += field("cache_hits");
+                executed += field("executed");
+                coalesced += field("coalesced");
                 worker_wall_ms = field("wall_ms");
                 continue;
             }
             let (local, status, payload) =
                 split_record(line).ok_or_else(|| shard_error("unsplittable shard record"))?;
-            let &u = misses
+            let &u = uidxs
                 .get(local)
                 .ok_or_else(|| shard_error("shard record index out of range"))?;
-            outcome.resolved.push((u, status, payload));
-            seen += 1;
+            resolved.push((u, status, payload));
         }
-        if seen != misses.len() {
+        if resolved.len() != uidxs.len() {
             return Err(shard_error("shard stream truncated"));
         }
-        outcome.spans.push(CoordSpan {
+        let span = CoordSpan {
             name: "forward_sweep".into(),
-            tid,
+            tid: 1 + slot as u32,
             ts_us: fwd_ts,
             dur_us: fwd_dur,
             args: vec![
-                ("jobs".into(), misses.len().to_string()),
+                ("jobs".into(), uidxs.len().to_string()),
                 (
                     "worker_sweep_key".into(),
                     worker_sweep_key.clone().unwrap_or_else(|| "-".into()),
                 ),
             ],
-        });
+        };
         // The half-residual-RTT clock sample: the worker's trace clock
         // started roughly when the forward's transport overhead was half
         // spent (see crate::stitch for the full derivation).
         let residual_us = (fwd_dur - worker_wall_ms as f64 * 1000.0).max(0.0);
-        outcome.stitch = Some(StitchShard {
-            slot,
-            addr: self.workers[slot].addr.clone(),
-            worker_sweep_key,
-            offset_us: fwd_ts + residual_us / 2.0,
-        });
-        Ok(outcome)
+        Ok(ShardOutcome {
+            resolved,
+            cache_hits,
+            executed,
+            coalesced,
+            span,
+            stitch: StitchShard {
+                slot,
+                addr: self.workers[slot].addr.clone(),
+                worker_sweep_key,
+                offset_us: fwd_ts + residual_us / 2.0,
+            },
+        })
     }
 
     /// Metrics federation: scrapes every worker's Prometheus exposition

@@ -6,19 +6,15 @@
 //! fronted by one coordinator speaking the same `/v1` API. The
 //! coordinator owns no engine: it places run keys on workers by
 //! rendezvous hashing ([`ring`]), coalesces concurrent identical
-//! requests (the engine's [`heteropipe_engine::SingleFlight`]), fans
+//! requests (the engine's [`heteropipe_engine::SingleFlight`]), and fans
 //! sweeps out shard-wise and merges the per-worker NDJSON streams back
-//! into one deterministic stream, and treats every worker's disk cache
-//! as a cluster-wide **third cache tier**: before executing anywhere it
-//! asks the owning shard whether the record already exists
-//! ([`coordinator`]).
+//! into one deterministic stream ([`coordinator`]).
 //!
-//! The cache hierarchy a cluster client sees, cheapest first:
-//!
-//! 1. worker memory cache (engine tier 1)
-//! 2. worker disk cache (engine tier 2)
-//! 3. **peer disk caches via the coordinator's owner probe (tier 3)**
-//! 4. execution
+//! A key has one owner, so the cluster keeps one copy of each record and
+//! one lookup path for it, cheapest first: the owner's memory cache
+//! (engine tier 1), its disk cache (engine tier 2), then execution on the
+//! owner. The coordinator sends each run, and each sweep shard, to the
+//! owner in one call and lets the owner's engine answer.
 //!
 //! Placement is deterministic and records carry no timing, so a sweep
 //! merged across N workers — even one interrupted by a worker death and

@@ -1,17 +1,16 @@
 //! Cross-node trace stitching: one Chrome trace per cluster request.
 //!
-//! The coordinator records its own wall-clock spans (plan, per-key peer
-//! probes, shard forwards, merge) while a sweep runs, plus enough
-//! metadata to find each shard's worker-side trace later — the
-//! worker-local sweep key the shard's `POST /v1/sweeps` journaled under,
-//! and a clock-offset estimate for that worker. Nothing is fetched on
+//! The coordinator records its own wall-clock spans (plan, shard
+//! forwards, merge) while a sweep runs, plus enough metadata to find
+//! each shard's worker-side trace later — the worker-local sweep key the
+//! shard's `POST /v1/sweeps` journaled under, and a clock-offset
+//! estimate for that worker. Nothing is fetched on
 //! the hot path; `GET /v1/sweeps/{key}/trace` resolves the plan lazily,
 //! pulling each worker's journaled trace and splicing every machine onto
 //! a single timeline:
 //!
 //! - **pid 0** — the coordinator: `tid 0` carries the request lifecycle
-//!   (plan/merge), `tid 1+slot` the probe/forward activity against that
-//!   shard.
+//!   (plan/merge), `tid 1+slot` the forward to that shard.
 //! - **pid 1+slot** — one process lane per worker, holding the worker's
 //!   own sweep phases shifted onto the coordinator's clock.
 //!
@@ -32,7 +31,7 @@ use heteropipe_serve::json::Json;
 
 /// One coordinator-side span on the stitched timeline.
 pub struct CoordSpan {
-    /// Span name (`plan`, `peer_probe`, `forward`, `merge`, ...).
+    /// Span name (`plan`, `forward_sweep`, `merge`, ...).
     pub name: String,
     /// Coordinator thread lane: 0 = request lifecycle, 1+slot = shard.
     pub tid: u32,
@@ -51,8 +50,8 @@ pub struct StitchShard {
     /// Worker address, for the lane label.
     pub addr: String,
     /// Worker-local sweep key whose journaled trace holds the shard's
-    /// execution phases; `None` when every key was a peer-cache hit and
-    /// nothing was posted.
+    /// execution phases; `None` when the worker's answer carried no
+    /// `X-Sweep-Key`.
     pub worker_sweep_key: Option<String>,
     /// Estimated coordinator-timeline microsecond at which the worker's
     /// trace clock started.

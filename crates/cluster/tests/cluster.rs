@@ -2,7 +2,7 @@
 //! ephemeral loopback ports, driven through the serve crate's client.
 //!
 //! The load-bearing property throughout is *deployment transparency*:
-//! a sweep answered by the cluster — cold, warm from peer caches, or
+//! a sweep answered by the cluster — cold, warm from the workers' caches, or
 //! interrupted by partitions and a worker death — must be byte-identical
 //! (record lines; summaries are accounting, not results) to the same
 //! sweep on a single node.
@@ -159,7 +159,7 @@ fn cold_sweep_shards_across_workers_and_matches_single_node() {
     assert_eq!(sweep_field(&s, "jobs_unique"), 5);
     assert_eq!(sweep_field(&s, "duplicates"), 1);
     assert_eq!(sweep_field(&s, "executed"), 5, "cold: every unique runs");
-    assert_eq!(sweep_field(&s, "peer_cache_hits"), 0);
+    assert_eq!(sweep_field(&s, "cache_hits"), 0);
     assert_eq!(sweep_field(&s, "failed"), 0);
 
     // The merge really fanned out: both workers answered calls.
@@ -176,14 +176,18 @@ fn cold_sweep_shards_across_workers_and_matches_single_node() {
         assert!(forwarded > 0, "worker {w:?} saw no traffic");
     }
 
-    // Warm repeat: every unique key is now in a worker's disk cache, so
-    // the peer tier answers everything and nothing executes anywhere.
+    // Warm repeat: every unique key is now in its owner's cache, so the
+    // owners answer everything and nothing executes anywhere.
     let resp = client.post_json("/v1/sweeps", &sweep_body()).unwrap();
     assert_eq!(resp.status, 200);
     assert_eq!(record_lines(&resp.body), baseline, "warm repeat");
     let s = summary(&resp.body);
-    assert_eq!(sweep_field(&s, "peer_cache_hits"), 5);
-    assert_eq!(sweep_field(&s, "executed"), 0, "warm: peer caches answer");
+    assert_eq!(sweep_field(&s, "cache_hits"), 5);
+    assert_eq!(
+        sweep_field(&s, "executed"),
+        0,
+        "warm: the owners' caches answer"
+    );
 
     coordinator.shutdown_and_join();
     wa.shutdown_and_join();
@@ -211,8 +215,7 @@ fn start_default_worker(cache_dir: &std::path::Path) -> ServerHandle {
 #[test]
 fn warm_repeat_of_a_wide_sweep_is_not_held_by_idle_probe_connections() {
     // 25 unique jobs: each shard has more keys than a worker has request
-    // permits, so the coordinator probes each worker over several
-    // connections at once and keeps them idle in its pool afterwards.
+    // permits, so a warm repeat must not wait on anything per key.
     let jobs = ["kmeans", "hotspot", "bfs", "backprop", "nw"]
         .iter()
         .flat_map(|b| {
@@ -240,9 +243,9 @@ fn warm_repeat_of_a_wide_sweep_is_not_held_by_idle_probe_connections() {
     assert_eq!(record_lines(&warm.body), record_lines(&cold.body));
     let s = summary(&warm.body);
     assert_eq!(
-        sweep_field(&s, "peer_cache_hits"),
+        sweep_field(&s, "cache_hits"),
         25,
-        "every record a peer hit"
+        "every record a cache hit"
     );
     assert_eq!(sweep_field(&s, "executed"), 0);
     assert!(
@@ -258,7 +261,7 @@ fn warm_repeat_of_a_wide_sweep_is_not_held_by_idle_probe_connections() {
 }
 
 #[test]
-fn runs_probe_peer_caches_and_proxy_reports() {
+fn runs_forward_to_the_owner_and_proxy_reports() {
     let (dir_a, dir_b) = (temp_dir("runs-a"), temp_dir("runs-b"));
     let (wa, wb) = (start_worker(&dir_a), start_worker(&dir_b));
     let coordinator = start_coordinator(
@@ -272,23 +275,11 @@ fn runs_probe_peer_caches_and_proxy_reports() {
     assert_eq!(cold.status, 200);
     let key = cold.header("x-run-key").expect("run key").to_string();
 
-    // Repeat: the owner's disk cache answers through the peer probe, and
-    // the report bytes are identical to the executed ones.
+    // Repeat: the owner's cache answers the forwarded POST, and the
+    // report bytes are identical to the executed ones.
     let warm = client.post_json("/v1/runs", &body).unwrap();
     assert_eq!(warm.status, 200);
-    assert_eq!(warm.body, cold.body, "peer-cache hit replays the record");
-
-    let resp = client.get("/metrics").unwrap();
-    let m = resp.json().unwrap();
-    let peer_hits: u64 = m
-        .get("cluster")
-        .and_then(|c| c.get("workers"))
-        .and_then(Json::as_array)
-        .unwrap()
-        .iter()
-        .map(|w| w.get("peer_hits").and_then(Json::as_u64).unwrap())
-        .sum();
-    assert!(peer_hits >= 1, "warm run came from the peer tier");
+    assert_eq!(warm.body, cold.body, "a cache hit replays the record");
 
     // The run resource proxies to the owning shard.
     let report = client.get(&format!("/v1/runs/{key}")).unwrap();
@@ -302,7 +293,106 @@ fn runs_probe_peer_caches_and_proxy_reports() {
     assert_eq!(resp.status, 200);
     let text = String::from_utf8(resp.body).unwrap();
     heteropipe_obs::expfmt::parse(&text).expect("valid exposition format");
-    assert!(text.contains("heteropipe_cluster_peer_cache_hits_total"));
+
+    coordinator.shutdown_and_join();
+    wa.shutdown_and_join();
+    wb.shutdown_and_join();
+    let _ = std::fs::remove_dir_all(&dir_a);
+    let _ = std::fs::remove_dir_all(&dir_b);
+}
+
+/// The sum of the coordinator's per-worker `forwarded` counters: calls
+/// to workers that answered (federation scrapes are not counted).
+fn forwarded_total(client: &mut Client) -> u64 {
+    let m = client.get("/metrics").unwrap().json().unwrap();
+    m.get("cluster")
+        .and_then(|c| c.get("workers"))
+        .and_then(Json::as_array)
+        .expect("worker stats")
+        .iter()
+        .map(|w| w.get("forwarded").and_then(Json::as_u64).unwrap())
+        .sum()
+}
+
+/// The headers a client of either door compares across them.
+fn run_headers(resp: &heteropipe_serve::ClientResponse) -> [Option<String>; 3] {
+    ["x-run-key", "etag", "content-type"].map(|h| resp.header(h).map(str::to_owned))
+}
+
+#[test]
+fn one_worker_call_per_run_and_per_shard_and_conditional_gets_reach_the_owner() {
+    let (dir_a, dir_b) = (temp_dir("calls-a"), temp_dir("calls-b"));
+    let (wa, wb) = (start_worker(&dir_a), start_worker(&dir_b));
+    let workers = vec![wa.addr().to_string(), wb.addr().to_string()];
+    let coordinator = start_coordinator(workers.clone(), Arc::new(Injector::disabled()));
+    let mut client = Client::new(coordinator.addr().to_string());
+
+    // A sweep's 5 unique keys span both workers: the warm repeat costs
+    // one call per shard, and the owners' engines answer every key.
+    let cold = client.post_json("/v1/sweeps", &sweep_body()).unwrap();
+    assert_eq!(cold.status, 200);
+    let before = forwarded_total(&mut client);
+    let warm = client.post_json("/v1/sweeps", &sweep_body()).unwrap();
+    assert_eq!(warm.status, 200);
+    assert_eq!(record_lines(&warm.body), record_lines(&cold.body));
+    assert_eq!(sweep_field(&summary(&warm.body), "cache_hits"), 5);
+    assert_eq!(
+        forwarded_total(&mut client) - before,
+        2,
+        "one call per shard"
+    );
+
+    // A run costs one call cold and one warm, and answers what a node
+    // answers: the same bytes, `X-Run-Key`, and no `ETag` on a POST.
+    let body = job("rodinia/kmeans", 0.06);
+    let node_dir = temp_dir("calls-node");
+    let node = start_worker(&node_dir);
+    let expected = Client::new(node.addr().to_string())
+        .post_json("/v1/runs", &body)
+        .unwrap();
+    node.shutdown_and_join();
+    let _ = std::fs::remove_dir_all(&node_dir);
+    assert_eq!(expected.status, 200);
+    for pass in ["cold", "warm"] {
+        let before = forwarded_total(&mut client);
+        let resp = client.post_json("/v1/runs", &body).unwrap();
+        assert_eq!(
+            forwarded_total(&mut client) - before,
+            1,
+            "{pass} run: one call to the owner"
+        );
+        assert_eq!(resp.status, 200, "{pass} run");
+        assert_eq!(
+            resp.body, expected.body,
+            "{pass} run answers a node's bytes"
+        );
+        assert_eq!(run_headers(&resp), run_headers(&expected), "{pass} run");
+    }
+
+    // A conditional GET reaches the owner with its validator, and the
+    // owner's empty 304 comes back with the owner's headers.
+    let key = expected.header("x-run-key").expect("run key");
+    let path = format!("/v1/runs/{key}");
+    let etag = format!("\"{key}\"");
+    let conditional = [("If-None-Match", etag.as_str())];
+    let from_owner = workers
+        .iter()
+        .map(|w| {
+            Client::new(w.clone())
+                .get_with_headers(&path, &conditional)
+                .unwrap()
+        })
+        .find(|r| r.status != 404)
+        .expect("the owner holds the run");
+    assert_eq!(from_owner.status, 304);
+    let via_coordinator = client.get_with_headers(&path, &conditional).unwrap();
+    assert_eq!(via_coordinator.status, 304);
+    assert!(via_coordinator.body.is_empty(), "a 304 has no body");
+    assert_eq!(run_headers(&via_coordinator), run_headers(&from_owner));
+    let full = client.get(&path).unwrap();
+    assert_eq!(full.status, 200, "an unconditional GET still answers");
+    assert_eq!(full.body, expected.body);
+    assert_eq!(full.header("etag"), Some(etag.as_str()));
 
     coordinator.shutdown_and_join();
     wa.shutdown_and_join();
@@ -392,7 +482,7 @@ fn partition_faults_rehash_to_identical_bytes() {
     // partition costs a rehash, never a wrong answer. A hang is also
     // thrown in: slow links delay, they don't fail.
     for plan in [
-        "seed=7;cluster.probe:err=eio:max=1;cluster.probe:err=hang:ms=40:max=1",
+        "seed=7;cluster.forward:err=eio:max=1;cluster.forward:err=hang:ms=40:max=1",
         "seed=7;cluster.forward:err=drop:max=1",
     ] {
         let faults = Arc::new(Injector::new(FaultPlan::parse(plan).unwrap()));
@@ -448,7 +538,7 @@ fn worker_death_mid_sweep_self_heals_to_identical_bytes() {
     assert!(sweep_field(&s, "rehashes") >= 1);
 
     // Now B actually dies. A fresh sweep still answers identically:
-    // probes/forwards to B fail, its keys rehash onto A.
+    // forwards to B fail, its keys rehash onto A.
     wb.shutdown_and_join();
     let resp = client.post_json("/v1/sweeps", &sweep_body()).unwrap();
     assert_eq!(resp.status, 200);

@@ -1,10 +1,13 @@
 //! One request script, two front doors: a durable single node and a
 //! durable coordinator over two workers must answer every step with the
 //! same status, error `code`, `Retry-After` and resource-key headers.
+//! The same two doors also export exactly the metric families that
+//! docs/observability.md catalogs.
 //!
 //! Both doors are assembled by hand (tenant gate and a fresh journal
 //! attached directly) so no test reads the process-wide environment.
 
+use std::collections::BTreeSet;
 use std::io::{BufReader, Write};
 use std::net::TcpStream;
 use std::path::{Path, PathBuf};
@@ -13,6 +16,7 @@ use std::time::{Duration, Instant};
 
 use heteropipe_cluster::{ClusterConfig, Coordinator};
 use heteropipe_engine::{Engine, Journal};
+use heteropipe_faults::{FaultPlan, Injector};
 use heteropipe_serve::client::read_response;
 use heteropipe_serve::server::{Server, ServerConfig};
 use heteropipe_serve::{api, Api, Client, ClientResponse, Json, ServerHandle, TenantGate};
@@ -43,8 +47,13 @@ fn journal(dir: Option<&Path>) -> Option<Arc<Journal>> {
 }
 
 fn start_node(journal_dir: Option<&Path>) -> ServerHandle {
+    start_node_with_faults(journal_dir, Arc::new(Injector::disabled()))
+}
+
+fn start_node_with_faults(journal_dir: Option<&Path>, faults: Arc<Injector>) -> ServerHandle {
     let api = Api::new(Arc::new(Engine::new().memory_cache_only()));
     api.attach_tenants(Arc::new(TenantGate::parse(PLAN).unwrap()));
+    api.attach_faults(faults);
     if let Some(j) = journal(journal_dir) {
         api.attach_journal(j);
     }
@@ -281,6 +290,76 @@ fn node_and_coordinator_answer_the_same_script_identically() {
     assert_eq!(status("async without journal"), 503);
 
     for h in [coordinator, plain_coordinator, node, plain_node] {
+        h.shutdown_and_join();
+    }
+    for w in workers {
+        w.shutdown_and_join();
+    }
+    let _ = std::fs::remove_dir_all(&node_j);
+    let _ = std::fs::remove_dir_all(&coord_j);
+}
+
+/// The family column of docs/observability.md's metric catalog.
+fn catalog_families() -> BTreeSet<String> {
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../docs/observability.md");
+    let doc = std::fs::read_to_string(path).expect("read docs/observability.md");
+    doc.lines()
+        .filter_map(|l| l.strip_prefix("| `heteropipe_"))
+        .map(|rest| format!("heteropipe_{}", &rest[..rest.find('`').unwrap()]))
+        .collect()
+}
+
+/// Every family a door's Prometheus exposition declares.
+fn exported_families(addr: &str) -> BTreeSet<String> {
+    let resp = Client::new(addr).get("/metrics?format=prometheus").unwrap();
+    assert_eq!(resp.status, 200);
+    String::from_utf8(resp.body)
+        .unwrap()
+        .lines()
+        .filter_map(|l| l.strip_prefix("# TYPE "))
+        .map(|rest| rest.split(' ').next().unwrap().to_owned())
+        .collect()
+}
+
+#[test]
+fn the_metric_catalog_lists_exactly_the_exported_families() {
+    // Everything that adds families is attached: a journal, tenants, a
+    // fault rule that never fires, and the server's breaker and stats.
+    let never = FaultPlan::parse("serve.accept:err=drop:p=0").unwrap();
+    let (node_j, coord_j) = (temp_dir("catalog-node"), temp_dir("catalog-coord"));
+    let node = start_node_with_faults(Some(&node_j), Arc::new(Injector::new(never)));
+    let workers = [0, 1].map(|_| {
+        api::serve(
+            server_cfg(),
+            Arc::new(Engine::new().with_jobs(2).memory_cache_only()),
+        )
+        .expect("bind worker")
+    });
+    let addrs: Vec<String> = workers.iter().map(|w| w.addr().to_string()).collect();
+    let coordinator = start_coordinator(addrs, Some(&coord_j));
+    // One run through each door, so the profiled phases exist.
+    for door in [&node, &coordinator] {
+        let resp = Client::new(door.addr().to_string())
+            .post_json("/v1/runs", &job("rodinia/kmeans"))
+            .unwrap();
+        assert_eq!(resp.status, 200);
+    }
+
+    let mut exported = exported_families(&node.addr().to_string());
+    exported.extend(exported_families(&coordinator.addr().to_string()));
+    let catalog = catalog_families();
+    assert_eq!(
+        exported.difference(&catalog).collect::<Vec<_>>(),
+        Vec::<&String>::new(),
+        "exported but not in the catalog"
+    );
+    assert_eq!(
+        catalog.difference(&exported).collect::<Vec<_>>(),
+        Vec::<&String>::new(),
+        "in the catalog but not exported"
+    );
+
+    for h in [coordinator, node] {
         h.shutdown_and_join();
     }
     for w in workers {

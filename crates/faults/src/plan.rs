@@ -9,8 +9,7 @@
 //!
 //! * `site` — where the fault fires: `cache.write`, `cache.read`,
 //!   `job.exec`, `serve.accept`, `serve.read`, `serve.write`,
-//!   `cluster.probe`, `cluster.forward`, `journal.append`,
-//!   `journal.replay`;
+//!   `cluster.forward`, `journal.append`, `journal.replay`;
 //! * `err` — what happens: `enospc` / `eio` (an I/O error), `corrupt`
 //!   (bytes are bit-flipped in flight), `panic` (the job panics), `hang`
 //!   (the job stalls for `ms` milliseconds), `drop` (the connection is
@@ -47,9 +46,6 @@ pub enum Site {
     ServeRead,
     /// Writing a response back to the peer.
     ServeWrite,
-    /// A coordinator's peer-cache probe to the shard owning a run key
-    /// (`drop`/`eio` emulate a network partition, `hang` a slow link).
-    ClusterProbe,
     /// A coordinator forwarding work to a worker (`drop`/`eio` emulate a
     /// partition or dead worker, `hang` a slow worker).
     ClusterForward,
@@ -62,14 +58,13 @@ pub enum Site {
 
 impl Site {
     /// Every known site, in grammar order.
-    pub const ALL: [Site; 10] = [
+    pub const ALL: [Site; 9] = [
         Site::CacheWrite,
         Site::CacheRead,
         Site::JobExec,
         Site::ServeAccept,
         Site::ServeRead,
         Site::ServeWrite,
-        Site::ClusterProbe,
         Site::ClusterForward,
         Site::JournalAppend,
         Site::JournalReplay,
@@ -84,7 +79,6 @@ impl Site {
             Site::ServeAccept => "serve.accept",
             Site::ServeRead => "serve.read",
             Site::ServeWrite => "serve.write",
-            Site::ClusterProbe => "cluster.probe",
             Site::ClusterForward => "cluster.forward",
             Site::JournalAppend => "journal.append",
             Site::JournalReplay => "journal.replay",
@@ -226,7 +220,7 @@ fn parse_rule(clause: &str) -> Result<FaultRule, PlanError> {
         .unwrap_or("")
         .parse()
         .map_err(|()| {
-            err("unknown site (cache.write, cache.read, job.exec, serve.accept, serve.read, serve.write, cluster.probe, cluster.forward, journal.append, journal.replay)")
+            err("unknown site (cache.write, cache.read, job.exec, serve.accept, serve.read, serve.write, cluster.forward, journal.append, journal.replay)")
         })?;
 
     let mut kind = None;
