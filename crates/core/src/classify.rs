@@ -19,9 +19,7 @@
 //! shares a class); unmatched writebacks at the end of the region of
 //! interest are final output writes and count as required.
 
-use std::collections::HashMap;
-
-use heteropipe_mem::LineAddr;
+use heteropipe_mem::{LineAddr, LineTable};
 
 /// The Fig. 9 access classes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -122,17 +120,17 @@ impl ClassCounts {
     }
 }
 
-#[derive(Debug, Clone, Copy)]
+/// A line's off-chip history; the default is a line with none.
+#[derive(Debug, Clone, Copy, Default)]
 struct LineState {
     /// Stage of the last off-chip event on this line.
     stage: u32,
-    /// Whether the last event was a writeback.
-    was_writeback: bool,
     /// Writebacks not yet paired with a re-fetch.
     pending_writebacks: u32,
-    /// Stage of the most recent fetch (for R-R distance when a writeback
-    /// intervened).
-    last_fetch_stage: i64,
+    /// Whether the last event was a writeback.
+    was_writeback: bool,
+    /// Whether the line was ever fetched.
+    fetched: bool,
 }
 
 /// Streaming classifier over the off-chip interface.
@@ -153,20 +151,27 @@ struct LineState {
 /// let counts = c.finish();
 /// assert_eq!(counts.get(AccessClass::WrSpill), 2); // the pair
 /// ```
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct OffchipClassifier {
-    lines: HashMap<u64, LineState>,
+    lines: LineTable<LineState>,
     counts: ClassCounts,
     /// Maximum stage distance still counted as a spill (paper: 1 = next
     /// stage).
     spill_window: u32,
 }
 
+impl Default for OffchipClassifier {
+    /// The same as [`new`](Self::new): the paper's next-stage window.
+    fn default() -> Self {
+        OffchipClassifier::new()
+    }
+}
+
 impl OffchipClassifier {
     /// A classifier with the paper's next-stage spill window.
     pub fn new() -> Self {
         OffchipClassifier {
-            lines: HashMap::new(),
+            lines: LineTable::new(),
             counts: ClassCounts::default(),
             spill_window: 1,
         }
@@ -183,14 +188,9 @@ impl OffchipClassifier {
 
     /// Records an off-chip fetch of `line` by the stage numbered `stage`.
     pub fn fetch(&mut self, line: LineAddr, stage: u32) {
-        let state = self.lines.entry(line.0).or_insert(LineState {
-            stage,
-            was_writeback: false,
-            pending_writebacks: 0,
-            last_fetch_stage: -1,
-        });
-        let class = if state.last_fetch_stage < 0 && !state.was_writeback && state.stage == stage {
-            // Fresh entry: compulsory.
+        let state = self.lines.entry(line.0);
+        let class = if !state.fetched && !state.was_writeback {
+            // First off-chip event on the line: compulsory.
             None
         } else {
             let dist = stage.saturating_sub(state.stage);
@@ -224,19 +224,14 @@ impl OffchipClassifier {
         }
         state.stage = stage;
         state.was_writeback = false;
-        state.last_fetch_stage = stage as i64;
+        state.fetched = true;
     }
 
     /// Records an off-chip writeback of `line` by the stage numbered
     /// `stage`. Its class is decided by the next fetch of the line (or
     /// `finish`, if none comes).
     pub fn writeback(&mut self, line: LineAddr, stage: u32) {
-        let state = self.lines.entry(line.0).or_insert(LineState {
-            stage,
-            was_writeback: true,
-            pending_writebacks: 0,
-            last_fetch_stage: -1,
-        });
+        let state = self.lines.entry(line.0);
         state.stage = stage;
         state.was_writeback = true;
         state.pending_writebacks += 1;
@@ -340,6 +335,14 @@ mod tests {
         c.fetch(line(1), 7); // consumed much later
         let counts = c.finish();
         assert_eq!(counts.get(AccessClass::Required), 2);
+    }
+
+    #[test]
+    fn default_uses_the_paper_window() {
+        let mut c = OffchipClassifier::default();
+        c.writeback(line(7), 3);
+        c.fetch(line(7), 4);
+        assert_eq!(c.finish().get(AccessClass::WrSpill), 2);
     }
 
     #[test]

@@ -3,12 +3,10 @@
 //! Records which of {copy engine, CPU, GPU} touched each cache line over the
 //! region of interest, then reports bytes per exact component subset. The
 //! copy version's large "copy-touched" portions and the limited-copy
-//! version's shrunken footprint both fall out of this map.
-
-use std::collections::HashMap;
+//! version's shrunken footprint both fall out of this table.
 
 use heteropipe_mem::access::Component;
-use heteropipe_mem::{LineAddr, LINE_BYTES};
+use heteropipe_mem::{LineAddr, LineTable, LINE_BYTES};
 
 /// Which components touched a line (bitmask over [`Component`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
@@ -79,7 +77,8 @@ impl TouchSet {
 /// Accumulates line touches per component.
 #[derive(Debug, Default)]
 pub struct FootprintTracker {
-    lines: HashMap<u64, TouchSet>,
+    /// Touch set per line number; [`TouchSet::EMPTY`] for untouched lines.
+    lines: LineTable<TouchSet>,
 }
 
 impl FootprintTracker {
@@ -90,30 +89,42 @@ impl FootprintTracker {
 
     /// Records that `component` touched `line`.
     pub fn touch(&mut self, component: Component, line: LineAddr) {
-        let e = self.lines.entry(line.0).or_insert(TouchSet::EMPTY);
+        let e = self.lines.entry(line.0);
         *e = e.with(component);
+    }
+
+    /// Sets of the touched lines.
+    fn touched(&self) -> impl Iterator<Item = TouchSet> + '_ {
+        self.lines
+            .values()
+            .copied()
+            .filter(|&t| t != TouchSet::EMPTY)
     }
 
     /// Total distinct bytes touched by anyone.
     pub fn total_bytes(&self) -> u64 {
-        self.lines.len() as u64 * LINE_BYTES
+        self.touched().count() as u64 * LINE_BYTES
     }
 
     /// Bytes touched by exactly the subset `s` (and no other component).
     pub fn bytes_exactly(&self, s: TouchSet) -> u64 {
-        self.lines.values().filter(|&&t| t == s).count() as u64 * LINE_BYTES
+        self.touched().filter(|&t| t == s).count() as u64 * LINE_BYTES
     }
 
     /// Bytes touched by `c` (alone or with others).
     pub fn bytes_touched_by(&self, c: Component) -> u64 {
-        self.lines.values().filter(|t| t.contains(c)).count() as u64 * LINE_BYTES
+        self.touched().filter(|t| t.contains(c)).count() as u64 * LINE_BYTES
     }
 
     /// The full exact-subset breakdown in [`TouchSet::all_subsets`] order.
     pub fn breakdown(&self) -> Vec<(TouchSet, u64)> {
+        let mut lines = [0u64; 8];
+        for t in self.touched() {
+            lines[t.0 as usize] += 1;
+        }
         TouchSet::all_subsets()
             .into_iter()
-            .map(|s| (s, self.bytes_exactly(s)))
+            .map(|s| (s, lines[s.0 as usize] * LINE_BYTES))
             .collect()
     }
 }

@@ -10,7 +10,6 @@
 //! serial server that picks the lowest-id ready task, so bulk-synchronous,
 //! streamed, and chunked organizations all execute deterministically.
 
-use std::cell::RefCell;
 use std::collections::BTreeSet;
 
 use heteropipe_cpu::{CpuModel, LevelCounts, StageWork};
@@ -82,68 +81,6 @@ struct Resources {
     pcie: Option<heteropipe_sim::ResourceId>,
 }
 
-/// Pooled per-run state — the run "arena". Every growable buffer a run
-/// needs is checked out of a thread-local pool when the run starts and
-/// returned (cleared, capacity intact) when the report is built, so
-/// repeated runs on one thread — the engine's job workers, every sweep —
-/// reuse a single set of allocations instead of growing and freeing
-/// thousands of per-pattern line buffers and bookkeeping vectors per job.
-#[derive(Default)]
-struct RunArena {
-    /// Pool of pattern line buffers (`Pattern::emit` targets).
-    line_bufs: Vec<Vec<LineAddr>>,
-    /// Fused-kernel pattern staging for the interleaved tile walk.
-    interleaved: Vec<(AccessKind, Vec<LineAddr>)>,
-    /// Tile cursors for the interleaved walk.
-    offsets: Vec<usize>,
-    /// `(component, start, end)` busy intervals.
-    busy: Vec<(Component, Ps, Ps)>,
-    /// Kernel-launch / DMA-setup intervals.
-    launches: Vec<(Ps, Ps)>,
-    /// Unmet-dependency counts per task.
-    indegree: Vec<usize>,
-    /// Reverse dependency lists per task.
-    dependents: Vec<Vec<usize>>,
-}
-
-thread_local! {
-    static ARENA: RefCell<RunArena> = RefCell::new(RunArena::default());
-}
-
-impl RunArena {
-    /// Checks the thread's arena out of the pool (empty on first use).
-    fn take() -> RunArena {
-        ARENA.with(|a| std::mem::take(&mut *a.borrow_mut()))
-    }
-
-    /// Returns the arena to the pool: one sweep of `clear()`s keeps every
-    /// buffer's capacity for the next run.
-    fn put_back(mut self) {
-        for b in &mut self.line_bufs {
-            b.clear();
-        }
-        while let Some((_, mut b)) = self.interleaved.pop() {
-            b.clear();
-            self.line_bufs.push(b);
-        }
-        self.offsets.clear();
-        self.busy.clear();
-        self.launches.clear();
-        self.indegree.clear();
-        for d in &mut self.dependents {
-            d.clear();
-        }
-        ARENA.with(|a| *a.borrow_mut() = self);
-    }
-
-    /// A cleared line buffer from the pool (fresh if the pool is dry).
-    fn line_buf(&mut self) -> Vec<LineAddr> {
-        let mut b = self.line_bufs.pop().unwrap_or_default();
-        b.clear();
-        b
-    }
-}
-
 struct FuncResult {
     counts: LevelCounts,
     /// Scattered first-touch faults (full handler round trip each).
@@ -187,9 +124,15 @@ struct Runner<'a> {
     cpu_flops: u64,
     gpu_flops: u64,
     faults: u64,
-    arena: RunArena,
+    /// `(component, start, end)` busy intervals.
+    busy: Vec<(Component, Ps, Ps)>,
+    /// Kernel-launch / DMA-setup intervals.
+    launches: Vec<(Ps, Ps)>,
     spans: Vec<TaskSpan>,
-    sm_cursor: u64,
+    /// GPU accesses go to SMs round-robin, four at a time: the SM the
+    /// last one went to, and how many went there.
+    sm: u8,
+    sm_run: u8,
 }
 
 impl<'a> Runner<'a> {
@@ -251,22 +194,18 @@ impl<'a> Runner<'a> {
             cpu_flops: 0,
             gpu_flops: 0,
             faults: 0,
-            arena: RunArena::take(),
+            busy: Vec::new(),
+            launches: Vec::new(),
             spans: Vec::new(),
-            sm_cursor: 0,
+            sm: 0,
+            sm_run: 1,
         }
     }
 
     fn execute(mut self) -> (RunReport, Vec<TaskSpan>) {
         let n = self.graph.tasks.len();
-        let mut indegree = std::mem::take(&mut self.arena.indegree);
-        indegree.clear();
-        indegree.extend(self.graph.tasks.iter().map(|t| t.deps.len()));
-        let mut dependents = std::mem::take(&mut self.arena.dependents);
-        for d in &mut dependents {
-            d.clear();
-        }
-        dependents.resize_with(n, Vec::new);
+        let mut indegree: Vec<usize> = self.graph.tasks.iter().map(|t| t.deps.len()).collect();
+        let mut dependents: Vec<Vec<usize>> = vec![Vec::new(); n];
         for t in &self.graph.tasks {
             for d in &t.deps {
                 dependents[d.0].push(t.id.0);
@@ -324,8 +263,6 @@ impl<'a> Runner<'a> {
             }
         }
 
-        self.arena.indegree = indegree;
-        self.arena.dependents = dependents;
         let spans = std::mem::take(&mut self.spans);
         (self.report(now), spans)
     }
@@ -378,8 +315,8 @@ impl<'a> Runner<'a> {
                     }
                 };
                 if launch > Ps::ZERO {
-                    self.arena.launches.push((now, now + launch));
-                    self.arena.busy.push((Component::Cpu, now, now + launch));
+                    self.launches.push((now, now + launch));
+                    self.busy.push((Component::Cpu, now, now + launch));
                 }
                 let bytes = func.counts.offchip_transactions() as f64 * LINE_BYTES as f64;
                 // Row-buffer locality bounds the bandwidth this stage can
@@ -400,8 +337,8 @@ impl<'a> Runner<'a> {
                 // Queued DMA descriptors after the first chunk are cheap.
                 let full = self.config.pcie.expect("discrete has pcie").setup_latency();
                 let setup = if task.chunk.0 == 0 { full } else { full / 5 };
-                self.arena.launches.push((now, now + setup));
-                self.arena.busy.push((Component::Cpu, now, now + setup));
+                self.launches.push((now, now + setup));
+                self.busy.push((Component::Cpu, now, now + setup));
                 let transfer = self
                     .config
                     .pcie
@@ -459,7 +396,7 @@ impl<'a> Runner<'a> {
             TaskBody::SharedMemcpy { .. } => Ps::ZERO,
         };
         let body_start = (start + head).min(end);
-        self.arena.busy.push((component, body_start, end));
+        self.busy.push((component, body_start, end));
         self.spans.push(TaskSpan {
             name: match &self.pipeline.stages[task.body.stage()] {
                 Stage::Compute(c) => c.name.clone(),
@@ -495,7 +432,7 @@ impl<'a> Runner<'a> {
         // Fused kernels interleave their patterns tile-wise: emit each
         // pattern separately, then walk them round-robin in 64-line tiles
         // so a produced tile is consumed while still cache-resident.
-        let mut interleaved = std::mem::take(&mut self.arena.interleaved);
+        let mut interleaved: Vec<(AccessKind, Vec<LineAddr>)> = Vec::new();
 
         for (pi, p) in c.patterns.iter().enumerate() {
             let resolved = &self.graph.buffers[p.buf.0];
@@ -517,7 +454,7 @@ impl<'a> Runner<'a> {
             let mut rng = SplitMix64::new(
                 0x5EED_0000 ^ (task.body.stage() as u64) << 32 ^ (chunk_i as u64) << 16 ^ pi as u64,
             );
-            let mut lines = self.arena.line_buf();
+            let mut lines = Vec::new();
             pattern.emit(range, elem, &mut rng, &mut lines);
             let is_random = matches!(
                 pattern,
@@ -548,9 +485,7 @@ impl<'a> Runner<'a> {
                             faults_full += 1;
                             self.clear_page_on_cpu(line, stage_seq);
                         }
-                        self.sm_cursor += 1;
-                        let sm =
-                            ((self.sm_cursor / 4) % self.config.hierarchy.gpu_sms as u64) as u8;
+                        let sm = self.next_sm();
                         let r = self.hierarchy.gpu_access(sm, line, p.kind);
                         self.accesses[Component::Gpu.index()] += 1;
                         self.footprint.touch(Component::Gpu, line);
@@ -558,14 +493,10 @@ impl<'a> Runner<'a> {
                     }
                 }
             }
-            lines.clear();
-            self.arena.line_bufs.push(lines);
         }
         if c.interleave_patterns && !interleaved.is_empty() {
             const TILE: usize = 64;
-            let mut offsets = std::mem::take(&mut self.arena.offsets);
-            offsets.clear();
-            offsets.resize(interleaved.len(), 0);
+            let mut offsets = vec![0usize; interleaved.len()];
             let mut remaining = true;
             while remaining {
                 remaining = false;
@@ -587,10 +518,7 @@ impl<'a> Runner<'a> {
                                     faults_full += 1;
                                     self.clear_page_on_cpu(line, stage_seq);
                                 }
-                                self.sm_cursor += 1;
-                                let sm = ((self.sm_cursor / 4)
-                                    % self.config.hierarchy.gpu_sms as u64)
-                                    as u8;
+                                let sm = self.next_sm();
                                 let r = self.hierarchy.gpu_access(sm, line, *kind);
                                 self.accesses[Component::Gpu.index()] += 1;
                                 self.footprint.touch(Component::Gpu, line);
@@ -600,15 +528,7 @@ impl<'a> Runner<'a> {
                     }
                 }
             }
-            self.arena.offsets = offsets;
         }
-        // Hand the pattern buffers (and the staging vec itself) back to
-        // the pool for the next task.
-        while let Some((_, mut b)) = interleaved.pop() {
-            b.clear();
-            self.arena.line_bufs.push(b);
-        }
-        self.arena.interleaved = interleaved;
         self.faults += faults_full + faults_batched;
         FuncResult {
             counts,
@@ -617,6 +537,20 @@ impl<'a> Runner<'a> {
             seq_accesses,
             rnd_accesses,
         }
+    }
+
+    /// The SM of the next GPU access: the first three go to SM 0, then
+    /// four to each SM in turn, wrapping after the last.
+    fn next_sm(&mut self) -> u8 {
+        if self.sm_run == 4 {
+            self.sm_run = 0;
+            self.sm += 1;
+            if self.sm == self.config.hierarchy.gpu_sms {
+                self.sm = 0;
+            }
+        }
+        self.sm_run += 1;
+        self.sm
     }
 
     fn access_cpu(&mut self, line: LineAddr, kind: AccessKind, seq: u32, counts: &mut LevelCounts) {
@@ -758,7 +692,7 @@ impl<'a> Runner<'a> {
         let cpu_c = tl.add_component("cpu");
         let gpu_c = tl.add_component("gpu");
         let launch_c = tl.add_component("launch");
-        for &(comp, s, e) in &self.arena.busy {
+        for &(comp, s, e) in &self.busy {
             let c = match comp {
                 Component::Copy => copy_c,
                 Component::Cpu => cpu_c,
@@ -766,7 +700,7 @@ impl<'a> Runner<'a> {
             };
             tl.record(c, s, e);
         }
-        for &(s, e) in &self.arena.launches {
+        for &(s, e) in &self.launches {
             tl.record(launch_c, s, e);
         }
         let bd = tl.breakdown();
@@ -813,7 +747,7 @@ impl<'a> Runner<'a> {
         let bw = self.config.gpu_mem_bw();
         let bw_limited = roi > Ps::ZERO && offchip_bytes as f64 / roi.as_secs_f64() > 0.70 * bw;
 
-        let report = RunReport {
+        RunReport {
             benchmark: self.pipeline.name.clone(),
             platform: self.config.platform,
             organization: self.org,
@@ -833,9 +767,7 @@ impl<'a> Runner<'a> {
             gpu_flops: self.gpu_flops,
             remote_hits: self.hierarchy.remote_hits_cpu() + self.hierarchy.remote_hits_gpu(),
             bw_limited,
-        };
-        self.arena.put_back();
-        report
+        }
     }
 }
 

@@ -5,8 +5,10 @@
 //! core models over the aggregate counts.
 //!
 //! Storage is structure-of-arrays: one flat tag array, one flat LRU array,
-//! and packed valid/dirty bitsets, so a set probe is a linear sweep over
-//! `ways` adjacent tags instead of a strided walk over per-way structs.
+//! and a packed dirty bitset, so a set probe is a linear sweep over `ways`
+//! adjacent tags instead of a strided walk over per-way structs. Set counts
+//! are powers of two, so a line's set and tag are a mask and a shift of its
+//! number, and an empty slot holds a tag no line can have and LRU tick 0.
 //! The simulator spends most of its functional-model time in [`
 //! SetAssocCache::access`], and the tag sweep is the inner loop.
 
@@ -40,17 +42,24 @@ impl CacheConfig {
     /// # Panics
     ///
     /// Panics unless the capacity is a positive multiple of
-    /// `ways * LINE_BYTES`.
+    /// `ways * LINE_BYTES` and the resulting set count is a power of two
+    /// (as in every Table I cache).
     pub fn new(capacity_bytes: u64, ways: u32) -> Self {
         assert!(ways > 0, "cache must have at least one way");
         assert!(
             capacity_bytes > 0 && capacity_bytes.is_multiple_of(ways as u64 * LINE_BYTES),
             "capacity {capacity_bytes} must be a positive multiple of ways*line"
         );
-        CacheConfig {
+        let config = CacheConfig {
             capacity_bytes,
             ways,
-        }
+        };
+        assert!(
+            config.sets().is_power_of_two(),
+            "{} sets ({capacity_bytes} B, {ways} ways) is not a power of two",
+            config.sets()
+        );
+        config
     }
 
     /// Total capacity in bytes.
@@ -143,11 +152,12 @@ impl SlotBits {
     fn clear_all(&mut self) {
         self.words.fill(0);
     }
-
-    fn count_ones(&self) -> u64 {
-        self.words.iter().map(|w| w.count_ones() as u64).sum()
-    }
 }
+
+/// The tag of an empty slot. A line's tag is its number shifted right by
+/// the set bits, and line numbers are byte addresses over [`LINE_BYTES`],
+/// so no line has this tag.
+const EMPTY: u64 = u64::MAX;
 
 /// A set-associative, write-allocate, writeback cache with LRU replacement.
 ///
@@ -165,11 +175,16 @@ impl SlotBits {
 /// ```
 pub struct SetAssocCache {
     config: CacheConfig,
-    /// Tags, slot-major: set `s` occupies `[s*ways, (s+1)*ways)`.
+    /// `sets - 1`: a line's set is its low bits.
+    set_mask: u64,
+    /// `log2(sets)`: a line's tag is the rest of its bits.
+    set_bits: u32,
+    /// Tags, slot-major: set `s` occupies `[s*ways, (s+1)*ways)`; [`EMPTY`]
+    /// in an empty slot.
     tags: Vec<u64>,
-    /// Last-touch tick per slot (LRU order within a set).
+    /// Last-touch tick per slot (LRU order within a set); 0 in an empty
+    /// slot, and at least 1 in a filled one.
     lru: Vec<u64>,
-    valid: SlotBits,
     dirty: SlotBits,
     tick: u64,
     stats: CacheStats,
@@ -178,12 +193,14 @@ pub struct SetAssocCache {
 impl SetAssocCache {
     /// Creates an empty cache with the given geometry.
     pub fn new(config: CacheConfig) -> Self {
-        let slots = (config.sets() * config.ways as u64) as usize;
+        let sets = config.sets();
+        let slots = (sets * config.ways as u64) as usize;
         SetAssocCache {
             config,
-            tags: vec![0; slots],
+            set_mask: sets - 1,
+            set_bits: sets.trailing_zeros(),
+            tags: vec![EMPTY; slots],
             lru: vec![0; slots],
-            valid: SlotBits::zeroed(slots),
             dirty: SlotBits::zeroed(slots),
             tick: 0,
             stats: CacheStats::default(),
@@ -205,28 +222,21 @@ impl SetAssocCache {
         self.stats = CacheStats::default();
     }
 
+    /// The first slot of the line's set, and the line's tag.
+    #[inline]
     fn set_range(&self, line: LineAddr) -> (usize, u64) {
-        let sets = self.config.sets();
-        let set = (line.0 % sets) as usize;
-        let tag = line.0 / sets;
-        (set * self.config.ways as usize, tag)
+        let set = (line.0 & self.set_mask) as usize;
+        (set * self.config.ways as usize, line.0 >> self.set_bits)
     }
 
-    fn line_of(&self, slot: usize) -> LineAddr {
-        let sets = self.config.sets();
-        let set = (slot / self.config.ways as usize) as u64;
-        LineAddr(self.tags[slot] * sets + set)
-    }
-
-    /// Linear sweep of one set's tag array for a valid slot holding `tag`.
+    /// Linear sweep of one set's tag array for a slot holding `tag`.
     #[inline]
     fn find(&self, base: usize, tag: u64) -> Option<usize> {
         let ways = self.config.ways as usize;
         self.tags[base..base + ways]
             .iter()
-            .enumerate()
-            .find(|&(w, &t)| t == tag && self.valid.get(base + w))
-            .map(|(w, _)| base + w)
+            .position(|&t| t == tag)
+            .map(|w| base + w)
     }
 
     /// Performs an access, allocating on miss. Returns whether it hit and
@@ -246,27 +256,24 @@ impl SetAssocCache {
             };
         }
         self.stats.misses += 1;
-        // Fill: prefer an invalid way, else evict true-LRU.
+        debug_assert_ne!(tag, EMPTY, "{line} collides with the empty tag");
+        // Fill: the first empty way (tick 0), else the true-LRU one.
         let ways = self.config.ways as usize;
         let mut victim = base;
         let mut best = u64::MAX;
-        for slot in base..base + ways {
-            if !self.valid.get(slot) {
-                victim = slot;
-                break;
-            }
-            if self.lru[slot] < best {
-                best = self.lru[slot];
-                victim = slot;
+        for (slot, &t) in self.lru[base..base + ways].iter().enumerate() {
+            if t < best {
+                best = t;
+                victim = base + slot;
             }
         }
         let mut writeback = None;
-        if self.valid.get(victim) && self.dirty.get(victim) {
-            writeback = Some(self.line_of(victim));
+        if self.dirty.get(victim) {
+            let set = line.0 & self.set_mask;
+            writeback = Some(LineAddr(self.tags[victim] << self.set_bits | set));
             self.stats.writebacks += 1;
         }
         self.tags[victim] = tag;
-        self.valid.set(victim, true);
         self.dirty.set(victim, kind.is_write());
         self.lru[victim] = self.tick;
         CacheOutcome {
@@ -293,7 +300,8 @@ impl SetAssocCache {
     pub fn invalidate(&mut self, line: LineAddr) -> Option<bool> {
         let (base, tag) = self.set_range(line);
         let slot = self.find(base, tag)?;
-        self.valid.set(slot, false);
+        self.tags[slot] = EMPTY;
+        self.lru[slot] = 0;
         let was_dirty = self.dirty.get(slot);
         self.dirty.set(slot, false);
         Some(was_dirty)
@@ -317,22 +325,26 @@ impl SetAssocCache {
     }
 
     /// Marks a resident line clean (after its data has been written back or
-    /// transferred to another cache).
-    pub fn clean(&mut self, line: LineAddr) {
+    /// transferred to another cache). Returns whether the line is resident.
+    pub fn clean(&mut self, line: LineAddr) -> bool {
         let (base, tag) = self.set_range(line);
-        if let Some(slot) = self.find(base, tag) {
+        let slot = self.find(base, tag);
+        if let Some(slot) = slot {
             self.dirty.set(slot, false);
         }
+        slot.is_some()
     }
 
     /// Number of currently valid lines.
     pub fn occupancy(&self) -> u64 {
-        self.valid.count_ones()
+        self.tags.iter().filter(|&&t| t != EMPTY).count() as u64
     }
 
-    /// Drops all contents and statistics.
+    /// Drops all contents. The statistics are kept: they count accesses
+    /// over the cache's whole life, across kernel-boundary flushes.
     pub fn flush_all(&mut self) {
-        self.valid.clear_all();
+        self.tags.fill(EMPTY);
+        self.lru.fill(0);
         self.dirty.clear_all();
     }
 }
@@ -369,6 +381,12 @@ mod tests {
     #[should_panic(expected = "multiple")]
     fn config_rejects_bad_capacity() {
         let _ = CacheConfig::new(1000, 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "3 sets")]
+    fn config_rejects_non_power_of_two_sets() {
+        let _ = CacheConfig::new(3 * 16 * 128, 16);
     }
 
     #[test]
@@ -457,6 +475,20 @@ mod tests {
         assert_eq!(c.occupancy(), 0);
     }
 
+    /// The GPU L1 statistics count every access of a run, although the L1s
+    /// are flushed at each kernel boundary.
+    #[test]
+    fn flush_all_keeps_statistics() {
+        let mut c = tiny();
+        c.access(LineAddr(0), AccessKind::Read);
+        c.access(LineAddr(0), AccessKind::Write);
+        let before = c.stats();
+        c.flush_all();
+        assert_eq!(c.stats(), before);
+        assert!(!c.access(LineAddr(0), AccessKind::Read).hit);
+        assert_eq!(c.stats().accesses(), 3);
+    }
+
     #[test]
     fn occupancy_never_exceeds_capacity() {
         let mut c = tiny();
@@ -518,7 +550,9 @@ mod tests {
     }
 
     /// SoA model agrees with a naive per-way AoS reference under random
-    /// traffic: identical hit/miss/writeback sequences and final contents.
+    /// traffic interleaved with invalidations, cleans and flushes:
+    /// identical hit/miss/writeback sequences, presence, dirtiness and
+    /// occupancy, on `tiny()` and every Table I geometry.
     #[test]
     fn matches_aos_reference() {
         #[derive(Clone)]
@@ -535,6 +569,25 @@ mod tests {
             tick: u64,
         }
         impl Ref {
+            fn new(config: CacheConfig) -> Self {
+                let empty = Way {
+                    tag: 0,
+                    valid: false,
+                    dirty: false,
+                    lru: 0,
+                };
+                Ref {
+                    sets: vec![empty; config.lines() as usize],
+                    ways: config.ways() as usize,
+                    nsets: config.sets(),
+                    tick: 0,
+                }
+            }
+            fn slot(&self, line: LineAddr) -> Option<usize> {
+                let base = (line.0 % self.nsets) as usize * self.ways;
+                let tag = line.0 / self.nsets;
+                (base..base + self.ways).find(|&i| self.sets[i].valid && self.sets[i].tag == tag)
+            }
             fn access(&mut self, line: LineAddr, write: bool) -> (bool, Option<LineAddr>) {
                 self.tick += 1;
                 let set = (line.0 % self.nsets) as usize;
@@ -573,43 +626,86 @@ mod tests {
                 s.lru = self.tick;
                 (false, wb)
             }
+            fn invalidate(&mut self, line: LineAddr) -> Option<bool> {
+                let i = self.slot(line)?;
+                let s = &mut self.sets[i];
+                s.valid = false;
+                Some(std::mem::take(&mut s.dirty))
+            }
+            fn clean(&mut self, line: LineAddr) {
+                if let Some(i) = self.slot(line) {
+                    self.sets[i].dirty = false;
+                }
+            }
+            fn is_dirty(&self, line: LineAddr) -> bool {
+                self.slot(line).is_some_and(|i| self.sets[i].dirty)
+            }
+            fn occupancy(&self) -> u64 {
+                self.sets.iter().filter(|s| s.valid).count() as u64
+            }
+            fn flush_all(&mut self) {
+                for s in &mut self.sets {
+                    s.valid = false;
+                    s.dirty = false;
+                }
+            }
         }
-        heteropipe_sim::check::cases(64, 0x50A0, |g| {
-            let mut c = tiny();
-            let mut r = Ref {
-                sets: vec![
-                    Way {
-                        tag: 0,
-                        valid: false,
-                        dirty: false,
-                        lru: 0
-                    };
-                    8
-                ],
-                ways: 2,
-                nsets: 4,
-                tick: 0,
-            };
-            for (line, is_write) in g.vec(1, 400, |g| (g.u64(0, 64), g.bool())) {
-                let kind = if is_write {
-                    AccessKind::Write
-                } else {
-                    AccessKind::Read
-                };
-                let out = c.access(LineAddr(line), kind);
-                let (hit, wb) = r.access(LineAddr(line), is_write);
-                assert_eq!(out.hit, hit);
-                assert_eq!(out.writeback, wb);
-            }
-            for line in 0..64 {
-                let set = (line % 4) as usize;
-                let tag = line / 4;
-                let present = (0..2).any(|w| {
-                    let s = &r.sets[set * 2 + w];
-                    s.valid && s.tag == tag
-                });
-                assert_eq!(c.contains(LineAddr(line)), present);
-            }
-        });
+        let hierarchy = crate::HierarchyConfig::paper_discrete();
+        let geometries = [
+            *tiny().config(),
+            hierarchy.cpu_l1d,
+            hierarchy.cpu_l2,
+            hierarchy.gpu_l1,
+            hierarchy.gpu_l2,
+        ];
+        for (i, config) in geometries.into_iter().enumerate() {
+            let (sets, ways) = (config.sets(), config.ways() as u64);
+            heteropipe_sim::check::cases(24, 0x50A0 + i as u64, |g| {
+                let mut c = SetAssocCache::new(config);
+                let mut r = Ref::new(config);
+                // Low line numbers, or ones in the GPU address space's
+                // range, whose tags use the high bits.
+                let offset = if g.bool() { 0 } else { 1 << 37 };
+                // A few sets, each with three times its ways in candidate
+                // lines, so fills evict.
+                let hot_sets = sets.min(4);
+                for _ in 0..g.usize(1, 600) {
+                    let set = g.u64(0, hot_sets);
+                    let line = LineAddr(offset + set + sets * g.u64(0, 3 * ways));
+                    match g.u32(0, 40) {
+                        0..=3 => assert_eq!(c.invalidate(line), r.invalidate(line)),
+                        4..=7 => {
+                            c.clean(line);
+                            r.clean(line);
+                        }
+                        8 => {
+                            c.flush_all();
+                            r.flush_all();
+                        }
+                        op => {
+                            let kind = if op % 2 == 0 {
+                                AccessKind::Write
+                            } else {
+                                AccessKind::Read
+                            };
+                            let out = c.access(line, kind);
+                            let (hit, wb) = r.access(line, kind.is_write());
+                            assert_eq!(out.hit, hit);
+                            assert_eq!(out.writeback, wb);
+                        }
+                    }
+                    assert_eq!(c.contains(line), r.slot(line).is_some());
+                    assert_eq!(c.is_dirty(line), r.is_dirty(line));
+                }
+                assert_eq!(c.occupancy(), r.occupancy());
+                for set in 0..hot_sets {
+                    for t in 0..3 * ways {
+                        let line = LineAddr(offset + set + sets * t);
+                        assert_eq!(c.contains(line), r.slot(line).is_some());
+                        assert_eq!(c.is_dirty(line), r.is_dirty(line));
+                    }
+                }
+            });
+        }
     }
 }

@@ -155,8 +155,12 @@ impl ChipHierarchy {
     }
 
     /// One CPU load/store of a cache line from `core`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `core` is not below [`HierarchyConfig::cpu_cores`].
     pub fn cpu_access(&mut self, core: u8, line: LineAddr, kind: AccessKind) -> AccessResult {
-        let core = core as usize % self.cpu_l1.len();
+        let core = core as usize;
         let l1 = self.cpu_l1[core].access(line, kind);
         if l1.hit {
             return AccessResult::new(ServiceLevel::L1);
@@ -191,8 +195,12 @@ impl ChipHierarchy {
     /// cached copy is invalidated — and allocate in the shared L2 only, so
     /// per-SM L1s never hold dirty data and kernel-boundary flushes are
     /// silent.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `sm` is not below [`HierarchyConfig::gpu_sms`].
     pub fn gpu_access(&mut self, sm: u8, line: LineAddr, kind: AccessKind) -> AccessResult {
-        let sm = sm as usize % self.gpu_l1.len();
+        let sm = sm as usize;
         if kind.is_write() {
             self.gpu_l1[sm].invalidate(line);
             let mut result;
@@ -238,63 +246,33 @@ impl ChipHierarchy {
     }
 
     /// Looks for `line` anywhere on the GPU side; on a write, invalidates
-    /// the remote copies (ownership transfer).
+    /// the remote copies (ownership transfer). Each cache is probed once:
+    /// invalidating or cleaning a line reports whether it was there.
     fn probe_gpu_side(&mut self, line: LineAddr, kind: AccessKind) -> bool {
-        let mut found = self.gpu_l2.contains(line);
-        let mut l1_holders: Vec<usize> = Vec::new();
-        for (i, l1) in self.gpu_l1.iter().enumerate() {
-            if l1.contains(line) {
-                found = true;
-                l1_holders.push(i);
+        if kind.is_write() {
+            let mut found = self.gpu_l2.invalidate(line).is_some();
+            for l1 in &mut self.gpu_l1 {
+                found |= l1.invalidate(line).is_some();
             }
-        }
-        if found && kind.is_write() {
-            self.gpu_l2.invalidate(line);
-            for i in l1_holders {
-                self.gpu_l1[i].invalidate(line);
-            }
-        } else if found {
+            found
+        } else {
             // Reader gets a shared copy; the dirty owner supplies data and
             // is downgraded to clean (the data now also lives with the
-            // reader, still on chip).
-            self.gpu_l2.clean(line);
+            // reader, still on chip). GPU L1s never hold dirty data.
+            self.gpu_l2.clean(line) || self.gpu_l1.iter().any(|l1| l1.contains(line))
         }
-        found
     }
 
     /// Looks for `line` anywhere on the CPU side; on a write, invalidates
-    /// the remote copies.
+    /// the remote copies, and on a read downgrades them to clean.
     fn probe_cpu_side(&mut self, line: LineAddr, kind: AccessKind) -> bool {
         let mut found = false;
-        let mut holders: Vec<(bool, usize)> = Vec::new(); // (is_l1, core)
-        for (i, c) in self.cpu_l1.iter().enumerate() {
-            if c.contains(line) {
-                found = true;
-                holders.push((true, i));
-            }
-        }
-        for (i, c) in self.cpu_l2.iter().enumerate() {
-            if c.contains(line) {
-                found = true;
-                holders.push((false, i));
-            }
-        }
-        if found && kind.is_write() {
-            for (is_l1, i) in holders {
-                if is_l1 {
-                    self.cpu_l1[i].invalidate(line);
-                } else {
-                    self.cpu_l2[i].invalidate(line);
-                }
-            }
-        } else if found {
-            for (is_l1, i) in holders {
-                if is_l1 {
-                    self.cpu_l1[i].clean(line);
-                } else {
-                    self.cpu_l2[i].clean(line);
-                }
-            }
+        for c in self.cpu_l1.iter_mut().chain(&mut self.cpu_l2) {
+            found |= if kind.is_write() {
+                c.invalidate(line).is_some()
+            } else {
+                c.clean(line)
+            };
         }
         found
     }
@@ -487,6 +465,19 @@ mod tests {
         let r2 = h.gpu_access(3, LineAddr(9), AccessKind::Read);
         assert_eq!(r2.level, ServiceLevel::Remote);
         assert_eq!(h.remote_hits_gpu(), 1);
+    }
+
+    #[test]
+    fn hetero_read_probe_downgrades_dirty_owner() {
+        let mut h = hetero();
+        h.cpu_access(0, LineAddr(5), AccessKind::Write);
+        let r = h.gpu_access(2, LineAddr(5), AccessKind::Read);
+        assert_eq!(r.level, ServiceLevel::Remote);
+        // The CPU keeps its copy, now clean: a DMA flush writes nothing.
+        let line = AddrRange::new(LineAddr(5).base(), 128);
+        assert_eq!(h.dma_flush_cpu(line), 0);
+        let again = h.cpu_access(0, LineAddr(5), AccessKind::Read);
+        assert_eq!(again.level, ServiceLevel::L1);
     }
 
     #[test]

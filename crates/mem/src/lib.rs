@@ -19,6 +19,9 @@
 //!   GDDR5, PCIe 2.0, and on-chip switch components.
 //! * [`page`] — page table and the CPU-handled GPU page-fault model of the
 //!   heterogeneous processor.
+//! * [`line_table`] — flat per-line (or per-page) state in chunks allocated
+//!   on first touch: the page table's mapped bits, and the footprint and
+//!   off-chip classifier state of `heteropipe`.
 //!
 //! The caches are *functional*: they answer hit/miss and produce evictions
 //! but carry no timing. Timing is applied at stage granularity by the
@@ -33,6 +36,7 @@ pub mod alloc;
 pub mod cache;
 pub mod dram;
 pub mod hierarchy;
+pub mod line_table;
 pub mod page;
 pub mod pcie;
 pub mod xbar;
@@ -42,4 +46,5 @@ pub use addr::{Addr, AddrRange, LineAddr, PageAddr, LINE_BYTES, PAGE_BYTES};
 pub use alloc::{AddressSpace, Allocator};
 pub use cache::{CacheConfig, CacheStats, SetAssocCache};
 pub use hierarchy::{AccessResult, ChipHierarchy, HierarchyConfig, ServiceLevel};
+pub use line_table::LineTable;
 pub use page::{PageTable, TouchOutcome};

@@ -8,9 +8,8 @@
 //! the Fig. 6 discussion: a geomean ~9% GPU slowdown, concentrated in
 //! benchmarks whose GPU kernels write large never-touched allocations).
 
-use std::collections::HashSet;
-
 use crate::addr::{AddrRange, PageAddr};
+use crate::line_table::LineTable;
 
 /// Result of touching a page through the page table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -44,7 +43,8 @@ impl TouchOutcome {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct PageTable {
-    mapped: HashSet<u64>,
+    /// Mapped bit per page number.
+    mapped: LineTable<bool>,
     faults: u64,
 }
 
@@ -58,23 +58,25 @@ impl PageTable {
     /// or discrete-GPU allocations mapped by the GPU allocator).
     pub fn map_range(&mut self, range: AddrRange) {
         for p in range.pages() {
-            self.mapped.insert(p.0);
+            *self.mapped.entry(p.0) = true;
         }
     }
 
     /// Whether `page` is mapped.
     pub fn is_mapped(&self, page: PageAddr) -> bool {
-        self.mapped.contains(&page.0)
+        self.mapped.get(page.0)
     }
 
     /// Touches a page: maps it if unmapped and reports whether a fault
     /// fired.
     pub fn touch(&mut self, page: PageAddr) -> TouchOutcome {
-        if self.mapped.insert(page.0) {
+        let mapped = self.mapped.entry(page.0);
+        if *mapped {
+            TouchOutcome::Mapped
+        } else {
+            *mapped = true;
             self.faults += 1;
             TouchOutcome::Faulted
-        } else {
-            TouchOutcome::Mapped
         }
     }
 
@@ -86,15 +88,12 @@ impl PageTable {
     /// Number of pages a sweep of `range` would fault on right now,
     /// without mapping them.
     pub fn unmapped_pages(&self, range: AddrRange) -> u64 {
-        range
-            .pages()
-            .filter(|p| !self.mapped.contains(&p.0))
-            .count() as u64
+        range.pages().filter(|p| !self.is_mapped(*p)).count() as u64
     }
 
     /// Total mapped pages.
     pub fn mapped_count(&self) -> u64 {
-        self.mapped.len() as u64
+        self.mapped.values().filter(|&&m| m).count() as u64
     }
 }
 
